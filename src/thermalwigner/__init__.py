@@ -3,7 +3,7 @@
 Builds Fock-diagonal states, evaluates their Wigner and Husimi Q functions,
 evolves Wigner functions through a thermal dissipative channel by independent
 routes (closed form, Gaussian-kernel convolution, drift-diffusion finite
-differences, Fock-basis rate equations), quantifies Wigner negativity volume,
+differences, Fock-basis channel map), quantifies Wigner negativity volume,
 and verifies the threshold-decay-time laws.
 """
 

@@ -51,6 +51,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _grid_points(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
+    return value
+
+
 def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
@@ -344,7 +351,12 @@ def build_parser() -> _Parser:
         "--gamma-t", type=float, nargs="+", required=True, help="decay time(s), one grid each"
     )
     grid.add_argument("--extent", type=float, default=None, help="half-width (default: auto)")
-    grid.add_argument("--resolution", type=int, default=DEFAULT_GRID_POINTS, help="points per axis")
+    grid.add_argument(
+        "--resolution",
+        type=_grid_points,
+        default=DEFAULT_GRID_POINTS,
+        help="points per axis (>= 2)",
+    )
     grid.add_argument("--out", required=True, help="output file")
     grid.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     grid.set_defaults(func=cmd_wigner_grid)
@@ -383,6 +395,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"thermal-wigner: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:
+        # parameters the parser accepted but the library rejects
+        print(f"thermal-wigner {args.command}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

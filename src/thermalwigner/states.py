@@ -5,29 +5,23 @@ closed under the damped-oscillator master equation with a thermal bath, whose
 diagonal part is the birth-death rate system
 
     dp_l/d(gamma*t) = (n+1) [(l+1) p_{l+1} - l p_l] + n [l p_{l-1} - (l+1) p_l].
+
+``evolve_fock_diagonal`` solves it exactly: the channel factors into pure loss
+followed by a quantum-limited amplifier, which act on populations as a
+binomial and a negative-binomial matrix.  The output Fock cutoff is the
+smallest level whose dropped tail mass is below the caller's ``step_tol``.
 """
 
 from __future__ import annotations
 
-import logging
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-
-from .errors import NonConvergenceError
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_TAIL_TOL = 1e-12
 MAX_TAIL_TOL = 1e-6
-
-# Evolved populations this close to zero from below are clamped (and counted);
-# anything more negative is treated as a solver failure.
-CLAMP_THRESHOLD = 1e-12
-
-_MAX_ENLARGE_ATTEMPTS = 8
 
 
 @dataclass(frozen=True)
@@ -127,9 +121,11 @@ def spats_weights(bar_n: float, tail_tol: float = DEFAULT_TAIL_TOL) -> FockDiago
         or _spats_tail_moment(cutoff, bar_n) >= tail_tol
     ):
         cutoff += 1
+    # l x^(l-1) / (1+nbar)^2 with x = nbar/(1+nbar) < 1: no power overflows
+    x = bar_n / (1.0 + bar_n)
     l = np.arange(1, cutoff + 1, dtype=float)
     w = np.zeros(cutoff + 1)
-    w[1:] = l * bar_n ** (l - 1.0) / (1.0 + bar_n) ** (l + 1.0)
+    w[1:] = l * x ** (l - 1.0) / (1.0 + bar_n) ** 2
     return FockDiagonalState(w, tail_tol)
 
 
@@ -184,17 +180,21 @@ def random_zero_vacuum_state(rng_seed: int, cutoff: int) -> FockDiagonalState:
     return FockDiagonalState(w, tail_tol=DEFAULT_TAIL_TOL)
 
 
-def _rate_rhs(n: float):
-    """Right-hand side of the birth-death system at bath occupancy ``n``."""
+def _binomial_rows(p: float, width: int):
+    """Yield the Binomial(j, p) pmfs on 0..width-1 for j = 0, 1, 2, ...
 
-    def rhs(_t: float, p: np.ndarray) -> np.ndarray:
-        l = np.arange(p.size, dtype=float)
-        out = -((n + 1.0) * l + n * (l + 1.0)) * p
-        out[:-1] += (n + 1.0) * l[1:] * p[1:]
-        out[1:] += n * l[1:] * p[:-1]
-        return out
-
-    return rhs
+    Pascal's rule ``P_j(m) = (1-p) P_{j-1}(m) + p P_{j-1}(m-1)`` mixes
+    non-negative numbers only, so no entry overflows, cancels or goes
+    negative.  Truncating the rows at ``width`` leaves the retained entries
+    exact, since entry m depends only on entries m and m-1 of the row above.
+    """
+    row = np.zeros(width)
+    row[0] = 1.0
+    while True:
+        yield row
+        nxt = (1.0 - p) * row
+        nxt[1:] += p * row[:-1]
+        row = nxt
 
 
 def evolve_fock_diagonal(
@@ -204,17 +204,20 @@ def evolve_fock_diagonal(
 ) -> FockDiagonalState:
     """Evolve a Fock-diagonal state through the thermal channel.
 
-    Integrates the birth-death rate equations from 0 to ``channel.gamma_t``
-    with an adaptive embedded 4th/5th-order Runge-Kutta pair at per-step
-    tolerance ``step_tol``.  The working cutoff starts at the state's cutoff
-    plus a margin of ceil(5*(n+1)) and is enlarged until the mass beyond it
-    stays below ``step_tol``.
+    Applies the exact channel map.  With eta = e^{-gamma_t} and
+    N = n (1 - eta), the thermal attenuator is a pure-loss channel of
+    transmissivity tau = eta / (1 + N) followed by a quantum-limited
+    amplifier of gain 1 + N (Caruso, Giovannetti & Holevo, NJP 8, 310
+    (2006)).  On populations the loss step is the binomial matrix
+    C(l, m) tau^m (1-tau)^(l-m) and the amplifier step the negative-binomial
+    matrix C(k, m) (1-a)^(m+1) a^(k-m) with a = N / (1 + N).  Both matrices
+    are non-negative, so the evolved populations are too, and the map solves
+    the birth-death rate system of the module docstring exactly.
 
-    Raises
-    ------
-    NonConvergenceError
-        If the integrator fails or the cutoff enlargement cannot confine the
-        tail mass.
+    The output cutoff is the smallest level K whose dropped mass,
+    the exact amplifier tail sum_m q_m P(Binomial(K+1, 1-a) <= m) over the
+    lossy populations q, is below ``step_tol``; the result therefore carries
+    ``tail_tol = state.tail_tol + step_tol`` (at least ``DEFAULT_TAIL_TOL``).
     """
     if not (0.0 < step_tol <= 1e-3):
         raise ValueError(f"step_tol must be in (0, 1e-3], got {step_tol}")
@@ -222,57 +225,27 @@ def evolve_fock_diagonal(
     if gamma_t == 0.0:
         return state
 
-    margin = math.ceil(5.0 * (channel.n + 1.0))
-    initial_mass = float(state.weights.sum())
-    final = None
-    for _attempt in range(_MAX_ENLARGE_ATTEMPTS):
-        size = state.weights.size + margin
-        p0 = np.zeros(size)
-        p0[: state.weights.size] = state.weights
-        sol = solve_ivp(
-            _rate_rhs(channel.n),
-            (0.0, gamma_t),
-            p0,
-            method="RK45",
-            rtol=step_tol,
-            atol=max(step_tol * 1e-4, 1e-16),
-        )
-        if not sol.success:
-            raise NonConvergenceError(
-                "rate-equation integration failed", detail=sol.message, cutoff=size - 1
-            )
-        final = sol.y[:, -1]
-        if not np.all(np.isfinite(final)):
-            raise NonConvergenceError("rate-equation solution is not finite", cutoff=size - 1)
-        # mass leaked through the truncation plus solver drift, relative to
-        # what the state carried going in
-        leak = initial_mass - float(final.sum())
-        top_mass = float(final[-3:].sum())
-        if abs(leak) < step_tol and top_mass < step_tol:
+    eta = math.exp(-gamma_t)
+    noise = channel.n * -math.expm1(-gamma_t)
+    tau = eta / (1.0 + noise)
+    a = noise / (1.0 + noise)
+
+    size = state.weights.size
+    lossy = state.weights @ np.array(list(itertools.islice(_binomial_rows(tau, size), size)))
+    # The amplifier sends level m to level k with probability
+    # (1-a) P(Binomial(k, 1-a) = m), and above level k with probability
+    # P(Binomial(k+1, 1-a) <= m); summed over m, the latter weighs each
+    # Binomial(k+1, 1-a) outcome j with the lossy mass at or above j.
+    lossy_at_or_above = np.cumsum(lossy[::-1])[::-1]
+    rows = _binomial_rows(1.0 - a, size)
+    row = next(rows)
+    out = []
+    while True:
+        out.append((1.0 - a) * (row @ lossy))
+        row = next(rows)
+        # a state keeps at least levels 0 and 1
+        if len(out) >= 2 and row @ lossy_at_or_above < step_tol:
             break
-        margin *= 2
-    else:
-        raise NonConvergenceError(
-            "cutoff enlargement did not confine the tail mass",
-            leak=leak,
-            top_mass=top_mass,
-            cutoff=size - 1,
-            step_tol=step_tol,
-        )
 
-    negative = final < 0.0
-    if np.any(final < -CLAMP_THRESHOLD):
-        raise NonConvergenceError(
-            "evolved populations below the clamping threshold",
-            min_weight=float(final.min()),
-            threshold=CLAMP_THRESHOLD,
-        )
-    if np.any(negative):
-        logger.debug(
-            "evolve_fock_diagonal: clamped %d weights in (-%.1e, 0) to zero",
-            int(negative.sum()),
-            CLAMP_THRESHOLD,
-        )
-        final = np.where(negative, 0.0, final)
-
-    return FockDiagonalState(final, tail_tol=max(step_tol, state.tail_tol, DEFAULT_TAIL_TOL))
+    tail_tol = max(state.tail_tol + step_tol, DEFAULT_TAIL_TOL)
+    return FockDiagonalState(np.array(out), tail_tol=tail_tol)

@@ -181,8 +181,8 @@ def verify_zero_vacuum_theorem(
 ) -> TheoremReport:
     """Check the zero-vacuum-population theorem on one Fock-diagonal state.
 
-    Evolves the state to the threshold decay time through the Fock-basis rate
-    equations, then checks (a) the Wigner origin value vanishes within
+    Evolves the state to the threshold decay time through the exact Fock-basis
+    channel map, then checks (a) the Wigner origin value vanishes within
     ``tol_origin``, (b) the grid minimum stays above ``-tol_min``, and, for
     the photon-loss channel only, (c) the evolved Wigner function equals
     ``Q_IDENTITY_CONSTANT`` times the initial Q function at sqrt(2)-scaled

@@ -156,7 +156,7 @@ def test_criterion_4_oracle_triangle():
     exact = eval_spats_wigner_evolved(qq, pp, channel, bar_n)
     err_ac = float(np.max(np.abs(fd.values - exact)))
 
-    # (a) vs (d) rate equations + Laguerre series
+    # (a) vs (d) Fock-basis channel map + Laguerre series
     evolved_state = evolve_fock_diagonal(spats_weights(bar_n), channel, step_tol=1e-11)
     fock = eval_fock_diagonal_wigner(qq, pp, evolved_state)
     err_ad = float(np.max(np.abs(fock - exact)))

@@ -97,6 +97,21 @@ class TestWignerGridCommand:
             main(["wigner-grid", "--gamma-t", "0", "--out", "x.csv"])
         assert excinfo.value.code == EXIT_USAGE
 
+    def test_single_point_resolution_is_usage_error(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "wigner-grid",
+                    "--bar-n", "1",
+                    "--gamma-t", "0",
+                    "--resolution", "1",
+                    "--out", str(out),
+                ]
+            )
+        assert excinfo.value.code == EXIT_USAGE
+        assert not out.exists()
+
 
 class TestPnwCurveCommand:
     def test_loss_channel_curve_starts_at_golden_value(self, tmp_path):
@@ -226,6 +241,21 @@ class TestVerifyCommand:
         assert "synthetic-regression" in capsys.readouterr().err
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert records[1]["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["threshold", "--n", "-1"],
+        ["pnw-curve", "--n", "nan"],
+        ["threshold", "--tol", "0"],
+    ],
+)
+def test_invalid_parameter_is_usage_error(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"thermal-wigner {argv[0]}: error: ")
+    assert err.count("\n") == 1  # one line, no traceback
 
 
 def test_exit_code_constants():

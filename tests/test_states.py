@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from thermalwigner import (
     ChannelParams,
@@ -12,6 +15,20 @@ from thermalwigner import (
     thermal_weights,
     vacuum_population,
 )
+
+
+def birth_death_rhs(p, n):
+    """dp_l/d(gt) = (n+1)[(l+1)p_{l+1} - l p_l] + n[l p_{l-1} - (l+1)p_l]."""
+    l = np.arange(p.size, dtype=float)
+    up = np.append(p[1:], 0.0)  # p_{l+1}
+    down = np.insert(p[:-1], 0, 0.0)  # p_{l-1}
+    return (n + 1.0) * ((l + 1.0) * up - l * p) + n * (l * down - (l + 1.0) * p)
+
+
+def padded(weights, size):
+    out = np.zeros(size)
+    out[: weights.size] = weights
+    return out
 
 
 def brute_force_spats_mean(bar_n, terms=6000):
@@ -79,6 +96,15 @@ class TestSpatsWeights:
     def test_tail_tol_domain(self, tail_tol):
         with pytest.raises(ValueError):
             spats_weights(1.0, tail_tol=tail_tol)
+
+    def test_large_seed_is_finite_and_evolves(self):
+        # the cutoff is 391; nbar^(l-1) / (1+nbar)^(l+1) overflows from l near 300
+        state = spats_weights(10.0)
+        assert abs(state.weights.sum() - 1.0) < 1e-12
+        assert mean_photon(state) == pytest.approx(21.0, abs=1e-9)
+        step_tol = 1e-10
+        evolved = evolve_fock_diagonal(state, ChannelParams(0.5, 0.4), step_tol=step_tol)
+        assert abs(evolved.weights.sum() - state.weights.sum()) < step_tol
 
 
 class TestThermalWeights:
@@ -196,6 +222,69 @@ class TestEvolveFockDiagonal:
     def test_step_tol_domain(self):
         with pytest.raises(ValueError):
             evolve_fock_diagonal(spats_weights(1.0), ChannelParams(0.0, 0.1), step_tol=0.0)
+
+    @pytest.mark.parametrize("n,gamma_t", [(0.0, 0.7), (0.5, 0.4), (1.0, 1.3)])
+    def test_time_derivative_solves_birth_death_equations(self, n, gamma_t):
+        state = random_zero_vacuum_state(11, 10)
+        h = 1e-4
+
+        def at(gt):
+            return evolve_fock_diagonal(state, ChannelParams(n, gt), step_tol=1e-14).weights
+
+        later, now, earlier = at(gamma_t + h), at(gamma_t), at(gamma_t - h)
+        size = max(later.size, now.size, earlier.size) + 1
+        slope = (padded(later, size) - padded(earlier, size)) / (2.0 * h)
+        rhs = birth_death_rhs(padded(now, size), n)
+        assert np.max(np.abs(slope - rhs)) < 1e-7
+
+    @pytest.mark.parametrize(
+        "state,n,gamma_t",
+        [
+            (spats_weights(1.0), 0.5, 0.3),
+            (random_zero_vacuum_state(4, 16), 1.0, 0.8),
+            (thermal_weights(2.0), 0.0, 1.5),
+        ],
+    )
+    def test_matches_integrated_birth_death_equations(self, state, n, gamma_t):
+        evolved = evolve_fock_diagonal(state, ChannelParams(n, gamma_t), step_tol=1e-12)
+        # generous zero padding so the reference loses no mass through its top level
+        size = max(state.weights.size, evolved.weights.size) + 40
+        sol = solve_ivp(
+            lambda _t, p: birth_death_rhs(p, n),
+            (0.0, gamma_t),
+            padded(state.weights, size),
+            method="DOP853",
+            rtol=1e-12,
+            atol=1e-15,
+        )
+        assert sol.success
+        reference = sol.y[:, -1]
+        assert np.max(np.abs(padded(evolved.weights, size) - reference)) < 1e-10
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.floats(0.0, 2.0),
+        gamma_t=st.floats(0.0, 3.0),
+        split=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        cutoff=st.integers(1, 40),
+    )
+    def test_channel_map_properties(self, n, gamma_t, split, seed, cutoff):
+        step_tol = 1e-12
+        state = random_zero_vacuum_state(seed, cutoff)
+        evolved = evolve_fock_diagonal(state, ChannelParams(n, gamma_t), step_tol=step_tol)
+        assert np.all(evolved.weights >= 0.0)
+        assert abs(evolved.weights.sum() - state.weights.sum()) < step_tol
+        expected = n + (mean_photon(state) - n) * np.exp(-gamma_t)
+        assert mean_photon(evolved) == pytest.approx(expected, abs=1e-9)
+        first = evolve_fock_diagonal(state, ChannelParams(n, split * gamma_t), step_tol=step_tol)
+        two_legs = evolve_fock_diagonal(
+            first, ChannelParams(n, gamma_t - split * gamma_t), step_tol=step_tol
+        )
+        # each leg drops less than step_tol, and the map is an L1 contraction
+        size = max(two_legs.weights.size, evolved.weights.size)
+        l1 = np.sum(np.abs(padded(two_legs.weights, size) - padded(evolved.weights, size)))
+        assert l1 < 3.0 * step_tol
 
     def test_loosely_truncated_input_state_evolves(self):
         # initial mass deficit from a coarse tail_tol must not be mistaken
