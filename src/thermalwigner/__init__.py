@@ -21,6 +21,7 @@ from .negativity import (
     NegativityResult,
     negative_region_radius_spats,
     pnw_numeric,
+    pnw_radial,
     pnw_spats_analytic,
 )
 from .states import (
@@ -90,6 +91,7 @@ __all__ = [
     "mean_photon",
     "negative_region_radius_spats",
     "pnw_numeric",
+    "pnw_radial",
     "pnw_spats_analytic",
     "random_zero_vacuum_state",
     "sample_grid",

@@ -5,7 +5,8 @@ run the verification suites.  Every output file carries the full parameter
 set: CSV files get a ``<name>.meta.json`` sidecar, JSONL files start with a
 header object.  Identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 1 verification failure, 2 I/O error, 64 usage error.
+Exit codes: 0 success, 1 verification failure, 2 I/O error, 3 numerical
+non-convergence, 64 usage error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .channel import FokkerPlanckSpec, convolve_evolve, fokker_planck_evolve
-from .negativity import pnw_numeric, pnw_spats_analytic
+from .errors import NonConvergenceError
+from .negativity import pnw_radial, pnw_spats_analytic
 from .states import ChannelParams, evolve_fock_diagonal, random_zero_vacuum_state, spats_weights
 from .threshold import threshold_numeric_spats, threshold_spats, verify_zero_vacuum_theorem
 from .wigner import (
@@ -34,6 +36,7 @@ from .wigner import (
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_IO = 2
+EXIT_NUMERICAL = 3
 EXIT_USAGE = 64
 
 VERIFY_SUITES = ("oracles", "theorem", "thresholds")
@@ -179,9 +182,9 @@ def cmd_pnw_curve(args) -> int:
             analytic = pnw_spats_analytic(channel, bar_n).volume
             numeric = None
             if args.with_numeric:
-                numeric = pnw_numeric(
-                    lambda q, p: eval_spats_wigner_evolved(q, p, channel, bar_n),
-                    extent=default_extent(bar_n, args.n),
+                numeric = pnw_radial(
+                    lambda r: eval_spats_wigner_evolved(r, 0.0, channel, bar_n),
+                    default_extent(bar_n, args.n),
                     abs_tol=1e-8,
                 ).volume
             rows.append((float(gamma_t), bar_n, analytic, numeric))
@@ -399,6 +402,10 @@ def main(argv=None) -> int:
         # parameters the parser accepted but the library rejects
         print(f"thermal-wigner {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except NonConvergenceError as exc:
+        # str(exc) carries the failing tolerance and the last estimates
+        print(f"thermal-wigner {args.command}: error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
 """Volume of the negative part of a Wigner function.
 
-The volume is |integral of W over the region where W < 0|.  For the evolved
-photon-added thermal family it has a closed form; for arbitrary evaluators it
-is computed by sign-masked quadrature with a fast 1-D radial path when the
-evaluator is rotationally symmetric (all states of this library are).
+The volume is |integral of W over the region where W < 0|, the negativity
+indicator of Kenfack and Zyczkowski, J. Opt. B 6, 396 (2004).  For the evolved
+photon-added thermal family it has a closed form.  Otherwise the caller picks
+the numeric path: :func:`pnw_radial` integrates a radial profile W(r) in one
+dimension (every state of this library is Fock-diagonal and so radial), and
+:func:`pnw_numeric` integrates any evaluator W(q, p) over the plane.  Both
+call their evaluator on numpy arrays and reject a result that does not
+broadcast.
 """
 
 from __future__ import annotations
@@ -20,9 +24,11 @@ from .errors import NonConvergenceError
 from .states import ChannelParams
 from .wigner import evolved_coefficients
 
-_SYMMETRY_TOL = 1e-12
 _RADIAL_SCAN_POINTS = 4097
 _SPLIT_DEPTH = 6
+# corner offsets of a square cell, in units of half its side
+_CORNER_Q = np.array([-1.0, -1.0, 1.0, 1.0])
+_CORNER_P = np.array([-1.0, 1.0, -1.0, 1.0])
 
 _METHODS = ("analytic", "quadrature")
 
@@ -65,11 +71,10 @@ def negative_region_radius_spats(channel: ChannelParams, bar_n: float) -> float 
 def pnw_spats_analytic(channel: ChannelParams, bar_n: float) -> NegativityResult:
     """Closed-form negativity volume of the evolved SPATS.
 
-    Evaluates -[kappa/(2 xi) + 2(1+nbar)(1 - e^(kappa/(4(1+nbar) xi)))]
-    * e^(-gt) e^(zeta/xi) / xi while the negative disk exists, and 0 beyond
-    the threshold decay time.  (The factor e^(-gt) e^(zeta/xi) is identically
-    one because zeta = gt * xi; it is kept as written so the identity stays a
-    testable invariant rather than a baked-in simplification.)
+    Evaluates -[kappa/(2 xi) + 2(1+nbar)(1 - e^(kappa/(4(1+nbar) xi)))] / xi
+    while the negative disk exists, and 0 beyond the threshold decay time.
+    The printed form's extra factor e^(-gt) e^(zeta/xi) is one, since
+    zeta = gt * xi.
     """
     c = evolved_coefficients(channel, bar_n)
     radius = negative_region_radius_spats(channel, bar_n)
@@ -81,55 +86,62 @@ def pnw_spats_analytic(channel: ChannelParams, bar_n: float) -> NegativityResult
     # rearranged form cannot cancel to a negative volume as A -> 0 at the
     # threshold (expm1(x) - x >= 0 for every real x).
     bracket = -2.0 * (1.0 + bar_n) * (math.expm1(exponent) - exponent)
-    volume = -bracket * math.exp(-channel.gamma_t) * math.exp(c.zeta / c.xi) / c.xi
+    volume = -bracket / c.xi
     return NegativityResult(volume=volume, region_radius=radius, method="analytic")
 
 
-def _eval_point(evaluator: Callable, q: float, p: float) -> float:
-    return float(evaluator(q, p))
+def _checked(values, shape: tuple) -> np.ndarray:
+    """Evaluator output as a float array, which must have the shape of its input."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ValueError(
+            f"evaluator returned shape {values.shape} for input of shape {shape}; "
+            "evaluators must broadcast over numpy arrays"
+        )
+    return values
 
 
-def _is_radially_symmetric(evaluator: Callable, extent: float) -> bool:
-    """Accept symmetry when 8 probe pairs at common radii agree to 1e-12."""
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for fraction in (0.15, 0.35, 0.55, 0.75):
-        r = fraction * extent
-        on_q = _eval_point(evaluator, r, 0.0)
-        on_p = _eval_point(evaluator, 0.0, r)
-        diagonal = _eval_point(evaluator, -r * inv_sqrt2, -r * inv_sqrt2)
-        if abs(on_q - on_p) > _SYMMETRY_TOL or abs(on_q - diagonal) > _SYMMETRY_TOL:
-            return False
-    return True
+def _check_domain(name: str, extent: float, abs_tol: float) -> None:
+    if not (math.isfinite(extent) and extent > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {extent}")
+    if not abs_tol > 0.0:
+        raise ValueError(f"abs_tol must be > 0, got {abs_tol}")
 
 
-def _radial_profile(evaluator: Callable, radii: np.ndarray) -> np.ndarray:
-    try:
-        profile = np.asarray(evaluator(radii, 0.0), dtype=float)
-        if profile.shape != radii.shape:
-            raise TypeError
-        return profile
-    except TypeError:
-        return np.array([_eval_point(evaluator, r, 0.0) for r in radii])
+def pnw_radial(profile: Callable, r_max: float, abs_tol: float = 1e-6) -> NegativityResult:
+    """Negativity volume of a rotationally symmetric Wigner function.
 
+    ``profile(r)`` is W along the q axis, W(r, 0); being a function of r
+    alone it can only describe a radial Wigner function.  It is called once
+    on an array of radii, over which it must broadcast, and then on single
+    radii.  Sign changes on that scan of [0, ``r_max``] are refined to the
+    radii that bound the negative annuli, and each annulus is integrated as
+    2 pi r W(r) by adaptive quadrature.
 
-def _pnw_radial(evaluator: Callable, extent: float, abs_tol: float) -> NegativityResult:
-    radii = np.linspace(0.0, extent, _RADIAL_SCAN_POINTS)
-    profile = _radial_profile(evaluator, radii)
+    Raises
+    ------
+    NonConvergenceError
+        When the summed quadrature error estimates exceed ``abs_tol``.
+    """
+    _check_domain("r_max", r_max, abs_tol)
+    radii = np.linspace(0.0, r_max, _RADIAL_SCAN_POINTS)
+    values = _checked(profile(radii), radii.shape)
 
-    roots = []
-    for i in np.flatnonzero(profile[:-1] * profile[1:] < 0.0):
-        roots.append(brentq(lambda r: _eval_point(evaluator, r, 0.0), radii[i], radii[i + 1]))
-    edges = [0.0, *roots, extent]
+    def w(r: float) -> float:
+        return float(profile(r))
+
+    crossings = np.flatnonzero(values[:-1] * values[1:] < 0.0)
+    roots = [brentq(w, radii[i], radii[i + 1]) for i in crossings]
+    edges = [0.0, *roots, r_max]
 
     total = 0.0
     quad_error = 0.0
     negative_segments = []
     for a, b in zip(edges[:-1], edges[1:]):
-        midpoint = 0.5 * (a + b)
-        if _eval_point(evaluator, midpoint, 0.0) >= 0.0:
+        if w(0.5 * (a + b)) >= 0.0:
             continue
         value, err = quad(
-            lambda r: 2.0 * math.pi * r * _eval_point(evaluator, r, 0.0),
+            lambda r: 2.0 * math.pi * r * w(r),
             a,
             b,
             epsabs=min(abs_tol * 1e-2, 1e-10),
@@ -155,42 +167,41 @@ def _pnw_radial(evaluator: Callable, extent: float, abs_tol: float) -> Negativit
     return NegativityResult(volume=abs(total), region_radius=region_radius, method="quadrature")
 
 
-def _refine_cell(evaluator: Callable, cx: float, cy: float, size: float, depth: int) -> float:
-    """Signed negative-part contribution of one cell, split near the nodal curve."""
-    center = _eval_point(evaluator, cx, cy)
-    if depth == 0:
-        return center * size * size if center < 0.0 else 0.0
-    h = size / 2.0
-    corners = [
-        _eval_point(evaluator, cx - h, cy - h),
-        _eval_point(evaluator, cx - h, cy + h),
-        _eval_point(evaluator, cx + h, cy - h),
-        _eval_point(evaluator, cx + h, cy + h),
-    ]
-    negatives = [v < 0.0 for v in (center, *corners)]
-    if all(negatives):
-        return center * size * size
-    if not any(negatives):
-        return 0.0
-    quarter = size / 4.0
-    return sum(
-        _refine_cell(evaluator, cx + sx * quarter, cy + sy * quarter, h, depth - 1)
-        for sx in (-1.0, 1.0)
-        for sy in (-1.0, 1.0)
-    )
+def _refine_cells(evaluator: Callable, cq: np.ndarray, cp: np.ndarray, size: float) -> float:
+    """Signed negative-part integral over square cells of side ``size`` centered at (cq, cp).
+
+    Runs one level at a time.  A cell whose center and four corners are all
+    negative contributes its center value times its area, one with no
+    negative value contributes nothing, and a mixed one is replaced by its
+    four quarters at the next level.  After ``_SPLIT_DEPTH`` levels a cell
+    contributes its center value when that is negative.
+    """
+    total = 0.0
+    for _ in range(_SPLIT_DEPTH):
+        if cq.size == 0:
+            return total
+        center = _checked(evaluator(cq, cp), cq.shape)
+        h = size / 2.0
+        corner_q = cq[:, None] + h * _CORNER_Q
+        corners = _checked(evaluator(corner_q, cp[:, None] + h * _CORNER_P), corner_q.shape)
+        negative = np.column_stack((center, corners)) < 0.0
+        all_negative = negative.all(axis=1)
+        total += float(center[all_negative].sum()) * size * size
+        mixed = negative.any(axis=1) & ~all_negative
+        quarter = size / 4.0
+        cq = (cq[mixed, None] + quarter * _CORNER_Q).ravel()
+        cp = (cp[mixed, None] + quarter * _CORNER_P).ravel()
+        size = h
+    center = _checked(evaluator(cq, cp), cq.shape)
+    return total + float(center[center < 0.0].sum()) * size * size
 
 
 def _masked_cell_sum(evaluator: Callable, extent: float, resolution: int) -> float:
-    """Midpoint-rule integral over {W < 0} with nodal cells split recursively."""
+    """Midpoint-rule integral over {W < 0}, with the cells at the nodal curve refined."""
     h = 2.0 * extent / resolution
     centers = -extent + h * (np.arange(resolution) + 0.5)
     qq, pp = np.meshgrid(centers, centers, indexing="ij")
-    try:
-        values = np.asarray(evaluator(qq, pp), dtype=float)
-        if values.shape != qq.shape:
-            raise TypeError
-    except TypeError:
-        values = np.array([[_eval_point(evaluator, x, y) for y in centers] for x in centers])
+    values = _checked(evaluator(qq, pp), qq.shape)
 
     negative = values < 0.0
     straddle = np.zeros_like(negative)
@@ -200,34 +211,7 @@ def _masked_cell_sum(evaluator: Callable, extent: float, resolution: int) -> flo
     straddle[:, 1:] |= negative[:, 1:] != negative[:, :-1]
 
     total = float(values[negative & ~straddle].sum()) * h * h
-    for i, j in zip(*np.nonzero(straddle)):
-        total += _refine_cell(evaluator, centers[i], centers[j], h, _SPLIT_DEPTH)
-    return abs(total)
-
-
-def _pnw_cartesian(
-    evaluator: Callable,
-    extent: float,
-    base_resolution: int,
-    abs_tol: float,
-    max_refinements: int,
-) -> NegativityResult:
-    previous = None
-    estimate = None
-    resolution = base_resolution
-    for _ in range(max_refinements + 1):
-        estimate = _masked_cell_sum(evaluator, extent, resolution)
-        if previous is not None and abs(estimate - previous) < abs_tol:
-            return NegativityResult(volume=estimate, region_radius=None, method="quadrature")
-        previous = estimate
-        resolution *= 2
-    raise NonConvergenceError(
-        "sign-masked quadrature did not converge",
-        last=estimate,
-        previous=previous,
-        abs_tol=abs_tol,
-        final_resolution=resolution // 2,
-    )
+    return abs(total + _refine_cells(evaluator, qq[straddle], pp[straddle], h))
 
 
 def pnw_numeric(
@@ -237,26 +221,35 @@ def pnw_numeric(
     abs_tol: float = 1e-6,
     max_refinements: int = 4,
 ) -> NegativityResult:
-    """Negativity volume of an arbitrary (Gaussian-tailed) Wigner evaluator.
+    """Negativity volume of a Gaussian-tailed Wigner evaluator on [-extent, extent]^2.
 
-    Radially symmetric evaluators (detected by probe points) take a 1-D path:
-    sign-change roots along the q axis bracket the negative annuli, which are
-    integrated adaptively.  Otherwise a cell-center sign-masked midpoint rule
-    is refined (resolution doubling) until two estimates agree to ``abs_tol``,
-    with cells straddling the nodal curve split recursively.
+    ``evaluator(q, p)`` must broadcast over numpy arrays; it may have any
+    symmetry (use :func:`pnw_radial` for a rotationally symmetric one).  A
+    cell-center sign-masked midpoint rule is refined by resolution doubling
+    until two estimates agree to ``abs_tol``.  Cells straddling the nodal
+    curve are split into quarters, one level at a time, with one evaluator
+    call per level for all live centers and one for their corners.
 
     Raises
     ------
     NonConvergenceError
-        When the refinement loop or the radial quadrature cannot reach
-        ``abs_tol``; the last two estimates ride along in the diagnostics.
+        When ``max_refinements`` doublings do not reach ``abs_tol``; the last
+        two estimates ride along in the diagnostics.
     """
-    if not (math.isfinite(extent) and extent > 0.0):
-        raise ValueError(f"extent must be finite and > 0, got {extent}")
+    _check_domain("extent", extent, abs_tol)
     if base_resolution < 2:
         raise ValueError(f"base_resolution must be >= 2, got {base_resolution}")
-    if not abs_tol > 0.0:
-        raise ValueError(f"abs_tol must be > 0, got {abs_tol}")
-    if _is_radially_symmetric(evaluator, extent):
-        return _pnw_radial(evaluator, extent, abs_tol)
-    return _pnw_cartesian(evaluator, extent, base_resolution, abs_tol, max_refinements)
+    previous = estimate = None
+    resolution = base_resolution
+    for _ in range(max_refinements + 1):
+        previous, estimate = estimate, _masked_cell_sum(evaluator, extent, resolution)
+        if previous is not None and abs(estimate - previous) < abs_tol:
+            return NegativityResult(volume=estimate, region_radius=None, method="quadrature")
+        resolution *= 2
+    raise NonConvergenceError(
+        "sign-masked quadrature did not converge",
+        last=estimate,
+        previous=previous,
+        abs_tol=abs_tol,
+        final_resolution=resolution // 2,
+    )

@@ -1,9 +1,9 @@
 """Phase-space quasiprobability evaluators and uniform sampling grids.
 
-All evaluators take the quadrature pair (q, p) as scalars or broadcasting
-numpy arrays and depend on position only through r^2 = q^2 + p^2.  The Wigner
-normalization is the displaced-parity convention, W(0,0) = +-2/pi for Fock
-states; no alternative hbar scaling is supported.
+All evaluators take the quadrature pair (q, p) as numpy arrays (or scalars),
+broadcast over them, and depend on position only through r^2 = q^2 + p^2.
+The Wigner normalization is the displaced-parity convention, W(0,0) = +-2/pi
+for Fock states; no alternative hbar scaling is supported.
 """
 
 from __future__ import annotations
@@ -233,22 +233,14 @@ def sample_grid(
 ) -> WignerGrid:
     """Sample ``evaluator(q, p)`` on a uniform grid.
 
-    The evaluator is called once with full coordinate arrays when it
-    broadcasts, otherwise point by point.  Sampling never accumulates across
-    cells, so results are identical regardless of evaluation order.
+    The evaluator is called once with the full (n_q, n_p) coordinate arrays
+    and must broadcast over them; a result of any other shape raises
+    ``ValueError``.
     """
     qs = np.linspace(q_min, q_max, n_q)
     ps = np.linspace(p_min, p_max, n_p)
     qq, pp = np.meshgrid(qs, ps, indexing="ij")
-    try:
-        values = np.asarray(evaluator(qq, pp), dtype=float)
-        if values.shape != qq.shape:
-            raise TypeError("evaluator does not broadcast")
-    except TypeError:
-        values = np.empty(qq.shape)
-        for i in range(n_q):
-            for j in range(n_p):
-                values[i, j] = evaluator(qs[i], ps[j])
+    values = evaluator(qq, pp)
     cell_area = (qs[1] - qs[0]) * (ps[1] - ps[0])
     return WignerGrid(
         q_min=q_min,

@@ -25,7 +25,7 @@ from thermalwigner import (
     evolve_fock_diagonal,
     fd_stability_limit,
     fokker_planck_evolve,
-    pnw_numeric,
+    pnw_radial,
     pnw_spats_analytic,
     random_zero_vacuum_state,
     sample_grid,
@@ -104,15 +104,11 @@ def test_criterion_2_negativity_decay_curves():
 def test_criterion_3_golden_negativity_values():
     golden_loss = 2.0 * math.exp(-0.5) - 1.0
     analytic_loss = pnw_spats_analytic(ChannelParams(0.0, 0.0), 0.0).volume
-    numeric_loss = pnw_numeric(
-        lambda q, p: eval_spats_wigner_initial(q, p, 0.0), extent=6.0
-    ).volume
+    numeric_loss = pnw_radial(lambda r: eval_spats_wigner_initial(r, 0.0, 0.0), 6.0).volume
 
     golden_half = 0.038401044095206536
     analytic_half = pnw_spats_analytic(ChannelParams(0.5, 0.0), 1.0).volume
-    numeric_half = pnw_numeric(
-        lambda q, p: eval_spats_wigner_initial(q, p, 1.0), extent=6.0
-    ).volume
+    numeric_half = pnw_radial(lambda r: eval_spats_wigner_initial(r, 0.0, 1.0), 6.0).volume
 
     checks = (
         abs(analytic_loss - golden_loss) < 1e-9,

@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from thermalwigner.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
+from thermalwigner import NonConvergenceError
+from thermalwigner.cli import (
+    EXIT_IO,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFY_FAILED,
+    main,
+)
 
 GAMMA_T_C_HALF = 0.4054651081081644  # ln(3/2)
 
@@ -172,6 +180,20 @@ class TestPnwCurveCommand:
         _, rows = read_csv(out)
         assert float(rows[0][3]) == pytest.approx(float(rows[0][2]), abs=1e-5)
 
+    def test_non_convergence_exits_three_with_diagnostics(self, monkeypatch, capsys):
+        import thermalwigner.cli as cli_module
+
+        def failing_pnw_radial(*_args, **_kwargs):
+            raise NonConvergenceError("synthetic quadrature failure", error_estimate=0.5)
+
+        monkeypatch.setattr(cli_module, "pnw_radial", failing_pnw_radial)
+        code = main(["pnw-curve", "--steps", "2", "--with-numeric"])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("thermal-wigner pnw-curve: error: synthetic quadrature failure")
+        assert "error_estimate=0.5" in err
+        assert err.count("\n") == 1  # one line, no traceback
+
     def test_too_few_steps_is_usage_error(self, tmp_path, capsys):
         code = main(["pnw-curve", "--steps", "1", "--out", str(tmp_path / "c.csv")])
         assert code == EXIT_USAGE
@@ -259,4 +281,4 @@ def test_invalid_parameter_is_usage_error(argv, capsys):
 
 
 def test_exit_code_constants():
-    assert (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_IO, EXIT_USAGE) == (0, 1, 2, 64)
+    assert (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_IO, EXIT_NUMERICAL, EXIT_USAGE) == (0, 1, 2, 3, 64)

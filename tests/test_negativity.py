@@ -16,6 +16,7 @@ from thermalwigner import (
     evolved_coefficients,
     negative_region_radius_spats,
     pnw_numeric,
+    pnw_radial,
     pnw_spats_analytic,
     threshold_spats,
 )
@@ -25,6 +26,11 @@ GOLDEN_SINGLE_PHOTON = 2.0 * math.exp(-0.5) - 1.0  # 0.2130613...
 # frozen from the independent radial oracle below (matches half the
 # Kenfack-Zyczkowski negativity indicator for the two-photon Fock state)
 GOLDEN_FOCK_TWO = 0.3644946288935669
+
+# pnw_numeric of the single photon displaced by 0.7 along q (base resolution
+# 101, abs_tol 1e-4), frozen from the earlier cell-by-cell recursive
+# refinement; the level-at-a-time loop sums the same cells in another order
+DISPLACED_PHOTON_VOLUME = 0.21307246292141477
 
 
 def radial_quadrature_oracle(profile, r_lo, r_hi):
@@ -130,7 +136,7 @@ class TestNumericVolume:
         assert result.region_radius is None
 
     def test_single_photon_matches_golden(self):
-        result = pnw_numeric(lambda q, p: eval_spats_wigner_initial(q, p, 0.0), extent=6.0)
+        result = pnw_radial(lambda r: eval_spats_wigner_initial(r, 0.0, 0.0), 6.0)
         assert result.volume == pytest.approx(GOLDEN_SINGLE_PHOTON, abs=1e-6)
         assert result.region_radius == pytest.approx(0.5, abs=1e-9)
 
@@ -145,7 +151,7 @@ class TestNumericVolume:
         oracle = radial_quadrature_oracle(profile, r_lo, r_hi)
         assert oracle == pytest.approx(GOLDEN_FOCK_TWO, abs=1e-12)
 
-        result = pnw_numeric(lambda q, p: eval_fock_wigner(q, p, 2), extent=6.0)
+        result = pnw_radial(lambda r: eval_fock_wigner(r, 0.0, 2), 6.0)
         assert result.volume == pytest.approx(oracle, abs=1e-6)
         # the negative region is an annulus, not an origin disk
         assert result.region_radius is None
@@ -156,9 +162,9 @@ class TestNumericVolume:
         for gt in np.arange(0.0, threshold_spats(n), 0.1):
             channel = ChannelParams(n, float(gt))
             analytic = pnw_spats_analytic(channel, bar_n).volume
-            numeric = pnw_numeric(
-                lambda q, p: eval_spats_wigner_evolved(q, p, channel, bar_n),
-                extent=6.0,
+            numeric = pnw_radial(
+                lambda r: eval_spats_wigner_evolved(r, 0.0, channel, bar_n),
+                6.0,
                 abs_tol=1e-7,
             ).volume
             assert abs(analytic - numeric) < 1e-5
@@ -166,9 +172,7 @@ class TestNumericVolume:
     @pytest.mark.parametrize("n,bar_n", [(0.0, 1.0), (0.5, 3.0 / 7.0)])
     def test_zero_beyond_threshold(self, n, bar_n):
         channel = ChannelParams(n, threshold_spats(n) + 1e-3)
-        result = pnw_numeric(
-            lambda q, p: eval_spats_wigner_evolved(q, p, channel, bar_n), extent=6.0
-        )
+        result = pnw_radial(lambda r: eval_spats_wigner_evolved(r, 0.0, channel, bar_n), 6.0)
         assert result.volume == 0.0
 
     def test_displaced_input_uses_cartesian_path(self):
@@ -182,6 +186,18 @@ class TestNumericVolume:
         assert result.method == "quadrature"
         assert result.region_radius is None
         assert result.volume == pytest.approx(GOLDEN_SINGLE_PHOTON, abs=1e-4)
+        assert result.volume == pytest.approx(DISPLACED_PHOTON_VOLUME, abs=1e-12)
+
+    def test_angular_perturbation_is_not_taken_for_radial(self):
+        # sin(4 theta) agrees at 0, 90 and 225 degrees, so a symmetry probe at
+        # those angles would mistake this for the unperturbed photon (0.2131)
+        def perturbed(q, p):
+            r2 = q * q + p * p
+            angular = 0.3 * r2 * np.exp(-r2) * np.sin(4.0 * np.arctan2(p, q))
+            return eval_spats_wigner_initial(q, p, 0.0) + angular
+
+        result = pnw_numeric(perturbed, extent=6.0, base_resolution=101, abs_tol=1e-4)
+        assert result.volume == pytest.approx(0.2719, abs=1e-3)
 
     def test_cartesian_non_convergence_carries_estimates(self):
         with pytest.raises(NonConvergenceError) as excinfo:
@@ -192,15 +208,43 @@ class TestNumericVolume:
                 abs_tol=1e-15,
                 max_refinements=1,
             )
-        assert {"last", "previous"} <= set(excinfo.value.diagnostics)
+        diagnostics = excinfo.value.diagnostics
+        assert {"last", "previous"} <= set(diagnostics)
+        # the estimates at the two finest resolutions, not one value twice
+        assert diagnostics["last"] != diagnostics["previous"]
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"extent": 0.0}, {"extent": 6.0, "base_resolution": 1}, {"extent": 6.0, "abs_tol": 0.0}],
+        [
+            {"extent": 0.0},
+            {"extent": 6.0, "base_resolution": 1},
+            {"extent": 6.0, "abs_tol": 0.0},
+            {"r_max": 0.0},
+            {"r_max": math.inf},
+            {"r_max": 6.0, "abs_tol": 0.0},
+        ],
     )
     def test_parameter_domains(self, kwargs):
+        # pnw_radial names its extent r_max; its profile is W(q, 0)
+        function = pnw_radial if "r_max" in kwargs else pnw_numeric
         with pytest.raises(ValueError):
-            pnw_numeric(lambda q, p: eval_thermal_wigner(q, p, 1.0), **kwargs)
+            function(lambda q, p=0.0: eval_thermal_wigner(q, p, 1.0), **kwargs)
+
+    def test_scalar_only_evaluator_rejected(self):
+        with pytest.raises(ValueError, match="broadcast"):
+            pnw_numeric(lambda q, p: -0.25, extent=6.0)
+        with pytest.raises(ValueError, match="broadcast"):
+            pnw_radial(lambda r: -0.25, 6.0)
+
+    def test_type_error_inside_evaluator_propagates(self):
+        # math.exp accepts scalars only, so it raises TypeError on the arrays
+        def scalar_math(q, p):
+            return math.exp(-(q * q + p * p)) - 0.5
+
+        with pytest.raises(TypeError):
+            pnw_numeric(scalar_math, extent=6.0)
+        with pytest.raises(TypeError):
+            pnw_radial(lambda r: scalar_math(r, 0.0), 6.0)
 
 
 class TestDecayBehaviour:

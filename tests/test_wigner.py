@@ -227,13 +227,15 @@ class TestWignerGrid:
         assert grid.values[1, 0] == pytest.approx(grid.q_axis[1], abs=1e-15)
         assert grid.values[0, 2] == pytest.approx(10.0 * grid.p_axis[2], abs=1e-15)
 
-    def test_scalar_only_evaluator_falls_back(self):
+    def test_non_broadcasting_evaluator_rejected(self):
+        # the evaluator is called once on the coordinate arrays, never per point
         def scalar_only(q, p):
             return float(q) * float(p)
 
-        grid = sample_grid(scalar_only, -1.0, 1.0, -1.0, 1.0, 5, 5)
-        vectorized = sample_grid(lambda q, p: q * p, -1.0, 1.0, -1.0, 1.0, 5, 5)
-        assert np.array_equal(grid.values, vectorized.values)
+        with pytest.raises(TypeError):
+            sample_grid(scalar_only, -1.0, 1.0, -1.0, 1.0, 5, 5)
+        with pytest.raises(ValueError, match="shape"):
+            sample_grid(lambda q, p: 0.5, -1.0, 1.0, -1.0, 1.0, 5, 5)
 
     def test_cell_area_recorded(self):
         grid = sample_grid(lambda q, p: q * 0.0, 0.0, 1.0, 0.0, 1.0, 5, 3)
