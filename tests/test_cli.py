@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -282,3 +283,71 @@ def test_invalid_parameter_is_usage_error(argv, capsys):
 
 def test_exit_code_constants():
     assert (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_IO, EXIT_NUMERICAL, EXIT_USAGE) == (0, 1, 2, 3, 64)
+
+
+# SHA-256 of every file the CLI writes for fixed invocations.  A change of the
+# writer or of the numbers it writes changes these digests.
+_GOLDEN_GRID_ARGS = ["wigner-grid", "--bar-n", "1", "--n", "0.5", "--resolution", "51"]
+_GOLDEN_CURVE_ARGS = ["pnw-curve", "--bar-n", "0", "0.42857142857142855", "1", "--steps", "11"]
+
+
+def _digests(directory):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(directory.iterdir())}
+
+
+class TestGoldenOutput:
+    def test_wigner_grid_csv_three_decay_times(self, tmp_path):
+        gamma_ts = ["--gamma-t", "0", "0.2", f"{GAMMA_T_C_HALF:.10f}"]
+        assert main(_GOLDEN_GRID_ARGS + gamma_ts + ["--out", str(tmp_path / "g.csv")]) == EXIT_OK
+        assert _digests(tmp_path) == {
+            "g-00.csv": "ad43508872c64ea871da39e1baa22936df0783239fadae0f77415f8c715a7839",
+            "g-00.csv.meta.json": "eb5e5b5b03453b9d908f2f4e4d7b2911be3b6c5d70ccfdeb780b8a5df3b6e49c",
+            "g-01.csv": "c449ee678d0112ab629d16acd44bde51b508af54b5fc30717c3d14e32723a891",
+            "g-01.csv.meta.json": "d76b60188a6b30cc81ed059b208b07d98a17b7477daebd1556313739b0ec14f1",
+            "g-02.csv": "09dc941e7902e0521e63fdabf7f16fbe39cd63d761bd7bdb991106a11ceef369",
+            "g-02.csv.meta.json": "249ce8226d521a230c4ee195c79fbdce3ee87efeefce4f784b572b30fcc0e17f",
+        }
+
+    def test_wigner_grid_jsonl(self, tmp_path):
+        argv = _GOLDEN_GRID_ARGS + ["--gamma-t", "0.3", "--format", "jsonl"]
+        assert main(argv + ["--out", str(tmp_path / "g.jsonl")]) == EXIT_OK
+        assert _digests(tmp_path) == {
+            "g.jsonl": "b68383d7c65fa4e27c66c04753ef4d23c241b702892dd6fbda603da1585ff66d",
+            "g.jsonl.meta.json": "0f864f02b082949401cd86e9529dc305ed433fc5fab3977e36e27d884c62cb76",
+        }
+
+    @pytest.mark.parametrize(
+        "fmt, with_numeric, expected",
+        [
+            (
+                "csv", False, {
+                    "c.csv": "d07c63c1c68c8abe94409341d769c988391e2cfc68d56e5dbc27e749cbed3de1",
+                    "c.csv.meta.json": "d22bfb9a73e0316f9ba34828ca25f44a6cbdfb3ad8604dab70420382020b4c41",
+                },
+            ),
+            (
+                "csv", True, {
+                    "c.csv": "b6e20e71e77cb2b90b951e7c6227d4ee71a94c1e6f56447bc9b1b6dc924225b2",
+                    "c.csv.meta.json": "afd8d65106a578d73748a68bdc8e4c936556e7282bdcea7f8039b8dfc0efdd57",
+                },
+            ),
+            (
+                "jsonl", False, {
+                    "c.jsonl": "980cc1cce021420b0bce5960da6b7f9c85d7157984f24b6f9d2453ba7adeb7e9",
+                    "c.jsonl.meta.json": "bc3445e8987cbf510a3f01395c3bb8d942dfcd138a499121fe5574c5899a6c94",
+                },
+            ),
+            (
+                "jsonl", True, {
+                    "c.jsonl": "d7a7c71e4176d44887c33717ba319be2e5a72a139056c23db8a5493b4a142278",
+                    "c.jsonl.meta.json": "fadfa8e73a7a77c3abcb50f01e0798524b78bb5e57f547562432f81dad95246a",
+                },
+            ),
+        ],
+    )
+    def test_pnw_curve(self, tmp_path, fmt, with_numeric, expected):
+        argv = _GOLDEN_CURVE_ARGS + ["--format", fmt, "--out", str(tmp_path / f"c.{fmt}")]
+        if with_numeric:
+            argv.append("--with-numeric")
+        assert main(argv) == EXIT_OK
+        assert _digests(tmp_path) == expected
