@@ -5,6 +5,10 @@ run the verification suites.  Every output file carries the full parameter
 set: CSV files get a ``<name>.meta.json`` sidecar, JSONL files start with a
 header object.  Identical invocations produce byte-identical output.
 
+Grids and curves are written column by column (:func:`_table_text`): CSV
+values are ``%.17g``, JSONL values are json's own float encoding, and each
+distinct value of a column is formatted once.
+
 Exit codes: 0 success, 1 verification failure, 2 I/O error, 3 numerical
 non-convergence, 64 usage error.
 """
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -61,10 +66,6 @@ def _grid_points(text: str) -> int:
     return value
 
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -72,15 +73,61 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _csv_text(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if v is None else _fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def _jsonl_text(records) -> str:
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
+def _csv_floats(values: list[float]) -> list[str]:
+    return ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
+
+
+def _json_floats(values: list[float]) -> list[str]:
+    return json.dumps(values)[1:-1].split(", ")
+
+
+# per format: (encoder of a list of floats, text of a missing value)
+_ENCODINGS = {"csv": (_csv_floats, ""), "jsonl": (_json_floats, "null")}
+
+
+def _encode_column(column, fmt: str) -> np.ndarray:
+    """Object array of the encoded values of ``column``, in its shape.
+
+    Each bitwise-distinct float is encoded once, so -0.0 and 0.0 keep their
+    own text; ``None`` elements become the format's missing value.
+    """
+    encode, missing_text = _ENCODINGS[fmt]
+    column = np.asarray(column)
+    missing = np.equal(column, None) if column.dtype == object else np.zeros(column.shape, bool)
+    values = np.where(missing, 0.0, column).astype(float).reshape(-1)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = np.array(encode(bits.view(float).tolist()), dtype=object)
+    text = distinct[inverse].reshape(column.shape)
+    text[missing] = missing_text
+    return text
+
+
+def _table_text(columns: dict, fmt: str, header: dict) -> str:
+    """CSV or JSONL text of a table given column by column.
+
+    Columns are float arrays (``None`` marks a missing value) that broadcast
+    against each other; the rows run over the broadcast shape in C order, so
+    an axis passed as ``q[:, None]`` is encoded once per value, not once per
+    row.  CSV writes ``%.17g`` after a line of column names; JSONL writes
+    ``header`` and then one object per row with json's own float encoding
+    and sorted keys, byte for byte what ``json.dumps(row, sort_keys=True)``
+    writes.
+    """
+    names = list(columns) if fmt == "csv" else sorted(columns)
+    encoded = [_encode_column(columns[name], fmt) for name in names]
+    shape = np.broadcast_shapes(*(e.shape for e in encoded))
+    cells = np.stack([np.broadcast_to(e, shape) for e in encoded], axis=-1)
+    if fmt == "csv":
+        head = ",".join(names) + "\n"
+        row = ",".join(["%s"] * len(names)) + "\n"
+    else:
+        head = _jsonl_text([header])
+        row = "{" + ", ".join(f"{json.dumps(name)}: %s" for name in names) + "}\n"
+    return head + row * math.prod(shape) % tuple(cells.reshape(-1).tolist())
 
 
 def _sidecar_path(out: str) -> str:
@@ -114,6 +161,14 @@ def _grid_out_path(out: str, index: int, count: int) -> str:
 
 
 def cmd_wigner_grid(args) -> int:
+    """One grid of the evolved SPATS Wigner function per decay time.
+
+    Each grid is written as the table (q, p, w) with rows in row-major q
+    order: the q and p axes go to the writer as broadcast columns, so each
+    axis value is formatted once.  A CSV grid gets a sidecar with the extents,
+    the extreme values and the trapezoid integral; so does a JSONL grid, whose
+    first line is the header record.
+    """
     extent = args.extent if args.extent is not None else default_extent(args.bar_n, args.n)
     count = len(args.gamma_t)
     for index, gamma_t in enumerate(args.gamma_t):
@@ -128,11 +183,6 @@ def cmd_wigner_grid(args) -> int:
             args.resolution,
         )
         out = _grid_out_path(args.out, index, count)
-        rows = (
-            (q, p, grid.values[i, j])
-            for i, q in enumerate(grid.q_axis)
-            for j, p in enumerate(grid.p_axis)
-        )
         parameters = {
             "bar_n": args.bar_n,
             "n": args.n,
@@ -141,12 +191,9 @@ def cmd_wigner_grid(args) -> int:
             "resolution": args.resolution,
             "format": args.format,
         }
-        if args.format == "csv":
-            _write_text(out, _csv_text(["q", "p", "w"], rows))
-        else:
-            records = [_header_record("wigner-grid", parameters)]
-            records += [{"q": q, "p": p, "w": w} for q, p, w in rows]
-            _write_text(out, _jsonl_text(records))
+        columns = {"q": grid.q_axis[:, None], "p": grid.p_axis[None, :], "w": grid.values}
+        header = _header_record("wigner-grid", parameters)
+        _write_text(out, _table_text(columns, args.format, header))
         _write_sidecar(
             out,
             {
@@ -175,19 +222,19 @@ def cmd_pnw_curve(args) -> int:
         print("thermal-wigner pnw-curve: error: --steps must be >= 2", file=sys.stderr)
         return EXIT_USAGE
     lattice = np.linspace(0.0, gamma_t_max, args.steps)
-    rows = []
-    for bar_n in args.bar_n:
-        for gamma_t in lattice:
+    shape = (len(args.bar_n), args.steps)
+    analytic = np.empty(shape)
+    numeric = np.empty(shape) if args.with_numeric else None
+    for i, bar_n in enumerate(args.bar_n):
+        for j, gamma_t in enumerate(lattice):
             channel = ChannelParams(args.n, float(gamma_t))
-            analytic = pnw_spats_analytic(channel, bar_n).volume
-            numeric = None
+            analytic[i, j] = pnw_spats_analytic(channel, bar_n).volume
             if args.with_numeric:
-                numeric = pnw_radial(
+                numeric[i, j] = pnw_radial(
                     lambda r: eval_spats_wigner_evolved(r, 0.0, channel, bar_n),
                     default_extent(bar_n, args.n),
                     abs_tol=1e-8,
                 ).volume
-            rows.append((float(gamma_t), bar_n, analytic, numeric))
     parameters = {
         "bar_n": list(args.bar_n),
         "n": args.n,
@@ -196,16 +243,14 @@ def cmd_pnw_curve(args) -> int:
         "with_numeric": args.with_numeric,
         "format": args.format,
     }
-    if args.format == "csv":
-        text = _csv_text(["gamma_t", "bar_n", "pnw_analytic", "pnw_numeric"], rows)
-    else:
-        records = [_header_record("pnw-curve", parameters)]
-        records += [
-            {"gamma_t": gt, "bar_n": bn, "pnw_analytic": pa, "pnw_numeric": pn}
-            for gt, bn, pa, pn in rows
-        ]
-        text = _jsonl_text(records)
-    _write_text(args.out, text)
+    columns = {
+        "gamma_t": lattice[None, :],
+        "bar_n": np.array(args.bar_n)[:, None],
+        "pnw_analytic": analytic,
+        "pnw_numeric": numeric,
+    }
+    header = _header_record("pnw-curve", parameters)
+    _write_text(args.out, _table_text(columns, args.format, header))
     if args.out is not None:
         _write_sidecar(args.out, {"command": "pnw-curve", "parameters": parameters})
     return EXIT_OK

@@ -232,6 +232,9 @@ def pnw_numeric(
 
     Raises
     ------
+    ValueError
+        For a non-positive ``extent`` or ``abs_tol``, ``base_resolution`` < 2
+        or ``max_refinements`` < 1.
     NonConvergenceError
         When ``max_refinements`` doublings do not reach ``abs_tol``; the last
         two estimates ride along in the diagnostics.
@@ -239,6 +242,9 @@ def pnw_numeric(
     _check_domain("extent", extent, abs_tol)
     if base_resolution < 2:
         raise ValueError(f"base_resolution must be >= 2, got {base_resolution}")
+    if max_refinements < 1:
+        # convergence needs two estimates, so at least one doubling
+        raise ValueError(f"max_refinements must be >= 1, got {max_refinements}")
     previous = estimate = None
     resolution = base_resolution
     for _ in range(max_refinements + 1):

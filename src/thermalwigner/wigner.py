@@ -102,13 +102,17 @@ def eval_spats_wigner_evolved(q, p, channel: ChannelParams, bar_n: float):
 
 
 def _laguerre_series(x, coefficients: np.ndarray):
-    """sum_l coefficients[l] * L_l(x) by the stable three-term recurrence."""
+    """sum_l coefficients[l] * L_l(x) * e^(-x/2) by the three-term recurrence.
+
+    The recurrence runs on the Laguerre functions L_l(x) e^(-x/2), which are
+    bounded by 1 for x >= 0, so it cannot overflow where L_l(x) alone would.
+    """
     x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
+    prev = np.exp(-0.5 * x)
     acc = coefficients[0] * prev
     if coefficients.size == 1:
         return acc
-    cur = 1.0 - x
+    cur = (1.0 - x) * prev
     acc = acc + coefficients[1] * cur
     for k in range(1, coefficients.size - 1):
         prev, cur = cur, ((2.0 * k + 1.0 - x) * cur - k * prev) / (k + 1.0)
@@ -127,7 +131,7 @@ def eval_fock_wigner(q, p, l: int):
     r2 = np.square(q) + np.square(p)
     coeff = np.zeros(l + 1)
     coeff[l] = (-1.0) ** l
-    return (2.0 / math.pi) * _laguerre_series(4.0 * r2, coeff) * np.exp(-2.0 * r2)
+    return (2.0 / math.pi) * _laguerre_series(4.0 * r2, coeff)
 
 
 def eval_fock_diagonal_wigner(q, p, state: FockDiagonalState):
@@ -139,8 +143,7 @@ def eval_fock_diagonal_wigner(q, p, state: FockDiagonalState):
         )
     r2 = np.square(q) + np.square(p)
     signs = (-1.0) ** np.arange(state.weights.size)
-    series = _laguerre_series(4.0 * r2, signs * state.weights)
-    return (2.0 / math.pi) * series * np.exp(-2.0 * r2)
+    return (2.0 / math.pi) * _laguerre_series(4.0 * r2, signs * state.weights)
 
 
 def eval_q_function(q, p, state: FockDiagonalState):
@@ -151,12 +154,13 @@ def eval_q_function(q, p, state: FockDiagonalState):
     the vacuum population is zero.
     """
     r2 = np.asarray(np.square(q) + np.square(p), dtype=float)
-    term = np.ones_like(r2)
+    # the Poisson terms e^(-r^2) r^(2l)/l! stay below 1 where r^(2l)/l! overflows
+    term = np.exp(-r2)
     acc = state.weights[0] * term
     for l in range(1, state.weights.size):
         term = term * r2 / l
         acc = acc + state.weights[l] * term
-    return acc * np.exp(-r2) / math.pi
+    return acc / math.pi
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from thermalwigner.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
+    _table_text,
     main,
 )
 
@@ -351,3 +352,18 @@ class TestGoldenOutput:
             argv.append("--with-numeric")
         assert main(argv) == EXIT_OK
         assert _digests(tmp_path) == expected
+
+
+def test_table_writer_matches_per_value_encoders():
+    values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, None, 0.1]
+    axis = np.array([1.5, -0.0])
+    columns = {"x": axis[:, None], "v": np.array(values, dtype=object)[None, :]}
+    rows = [(x, v) for x in axis.tolist() for v in values]
+
+    csv = _table_text(columns, "csv", {"kind": "test"})
+    expected = ["x,v\n"] + [f"{x:.17g},{'' if v is None else f'{v:.17g}'}\n" for x, v in rows]
+    assert csv == "".join(expected)
+
+    jsonl = _table_text(columns, "jsonl", {"kind": "test"})
+    expected = [{"kind": "test"}] + [{"x": x, "v": v} for x, v in rows]
+    assert jsonl == "".join(json.dumps(r, sort_keys=True) + "\n" for r in expected)

@@ -222,6 +222,8 @@ class TestNumericVolume:
             {"r_max": 0.0},
             {"r_max": math.inf},
             {"r_max": 6.0, "abs_tol": 0.0},
+            {"extent": 6.0, "max_refinements": 0},
+            {"extent": 6.0, "max_refinements": -1},
         ],
     )
     def test_parameter_domains(self, kwargs):

@@ -134,6 +134,13 @@ class TestFockWigner:
         q, p = RANDOM_POINTS.T
         assert np.max(np.abs(eval_fock_wigner(q, p, 0) - eval_thermal_wigner(q, p, 0.0))) < 1e-15
 
+    def test_high_index_bounded_at_the_grid_corner(self):
+        # |L_l(x) e^(-x/2)| <= 1 for x >= 0, so |W_l| <= 2/pi everywhere
+        t = np.linspace(-5.0, 5.0, 401)
+        with np.errstate(over="raise", invalid="raise"):
+            values = eval_fock_wigner(t, t, 300)
+        assert np.max(np.abs(values)) <= 2.0 / math.pi
+
     @pytest.mark.parametrize("l", [-1, 501, 2.5])
     def test_index_domain(self, l):
         with pytest.raises(ValueError):
@@ -160,6 +167,18 @@ class TestFockDiagonalWigner:
             2.0 / math.pi, abs=1e-15
         )
 
+    @pytest.mark.parametrize("n_mean", [0.0, 1.0, 2.5, 5.0, 10.0])
+    def test_hot_thermal_series_finite_to_the_grid_corner(self, n_mean):
+        # the diagonal of the default grid reaches r = sqrt(2) * default_extent,
+        # where the unscaled L_l(4 r^2) overflows for n_mean = 10
+        extent = default_extent(n_mean)
+        t = np.linspace(-extent, extent, 801)
+        with np.errstate(over="raise", invalid="raise"):
+            series = eval_fock_diagonal_wigner(t, t, thermal_weights(n_mean))
+        closed = eval_thermal_wigner(t, t, n_mean)
+        peak = eval_thermal_wigner(0.0, 0.0, n_mean)
+        assert np.max(np.abs(series - closed)) <= 2e-14 * peak
+
 
 class TestQFunction:
     def test_vacuum_origin(self):
@@ -185,6 +204,15 @@ class TestQFunction:
         r2 = q * q + p * p
         closed = np.exp(-r2 / (1.0 + n_mean)) / (math.pi * (1.0 + n_mean))
         assert np.max(np.abs(series - closed)) < 1e-12
+
+    @pytest.mark.parametrize("n_mean", [0.0, 2.5, 5.0, 10.0, 20.0])
+    def test_hot_thermal_series_finite_to_the_grid_corner(self, n_mean):
+        extent = default_extent(n_mean)
+        t = np.linspace(-extent, extent, 801)
+        with np.errstate(over="raise", invalid="raise"):
+            series = eval_q_function(t, t, thermal_weights(n_mean))
+        closed = np.exp(-2.0 * t * t / (1.0 + n_mean)) / (math.pi * (1.0 + n_mean))
+        assert np.max(np.abs(series - closed)) <= 1e-14 / (math.pi * (1.0 + n_mean))
 
 
 EVALUATORS = [
