@@ -9,14 +9,13 @@ and verifies the threshold-decay-time laws.
 
 from .channel import (
     ConvolutionSpec,
-    FdScheme,
     FokkerPlanckSpec,
     convolve_evolve,
     fd_stability_limit,
     fokker_planck_evolve,
     kernel_truncation_radius,
 )
-from .errors import NonConvergenceError, StabilityError
+from .errors import NonConvergenceError
 from .negativity import (
     NegativityResult,
     negative_region_radius_spats,
@@ -45,7 +44,6 @@ from .threshold import (
 )
 from .wigner import (
     EvolvedSpatsCoefficients,
-    PhasePoint,
     WignerGrid,
     default_extent,
     eval_fock_diagonal_wigner,
@@ -64,14 +62,11 @@ __all__ = [
     "ChannelParams",
     "ConvolutionSpec",
     "EvolvedSpatsCoefficients",
-    "FdScheme",
     "FockDiagonalState",
     "FokkerPlanckSpec",
     "NegativityResult",
     "NonConvergenceError",
-    "PhasePoint",
     "Q_IDENTITY_CONSTANT",
-    "StabilityError",
     "TheoremReport",
     "ThresholdReport",
     "WignerGrid",

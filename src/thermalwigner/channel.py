@@ -4,7 +4,9 @@ of the drift-diffusion (Fokker-Planck) equation
 
     dW/d(gamma*t) = (1/2)(d_q q + d_p p) W + ((2n+1)/8) (d_q^2 + d_p^2) W.
 
-Both serve as oracles for closed-form results and for each other.
+The equation is integrated by one scheme, Strang-split Crank-Nicolson on a
+uniform grid.  Both routes serve as oracles for closed-form results and for
+each other.
 """
 
 from __future__ import annotations
@@ -13,14 +15,13 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import solve_banded
 
-from .errors import NonConvergenceError, StabilityError
+from .errors import NonConvergenceError
 from .states import ChannelParams
 from .wigner import WignerGrid, eval_thermal_wigner
 
@@ -33,14 +34,13 @@ EDGE_MASS_LOSS_BOUND = 1e-4
 class ConvolutionSpec:
     """Quadrature control for the convolution evolver.
 
-    ``domain_radius`` truncates the kernel-centered integral; ``None`` picks
-    6 kernel standard deviations, 6*sqrt((1+2n)/4).  The Gauss-Legendre order
-    starts at ``quad_order`` and doubles until two successive estimates agree
-    within ``abs_tol``.
+    The kernel-centered integral is always truncated at
+    :func:`kernel_truncation_radius`, 6 kernel standard deviations.  The
+    Gauss-Legendre order starts at ``quad_order`` and doubles until two
+    successive estimates agree within ``abs_tol``.
     """
 
     quad_order: int = 16
-    domain_radius: float | None = None
     abs_tol: float = 1e-9
     max_doublings: int = 7
 
@@ -49,8 +49,6 @@ class ConvolutionSpec:
             raise ValueError(f"quad_order must be >= 8, got {self.quad_order}")
         if not self.abs_tol > 0.0:
             raise ValueError(f"abs_tol must be > 0, got {self.abs_tol}")
-        if self.domain_radius is not None and not self.domain_radius > 0.0:
-            raise ValueError("domain_radius must be positive when given")
         if self.max_doublings < 1:
             raise ValueError("max_doublings must be >= 1")
 
@@ -93,7 +91,7 @@ def convolve_evolve(
     gt = channel.gamma_t
     if gt == 0.0:
         return float(initial(q, p))
-    radius = spec.domain_radius if spec.domain_radius is not None else kernel_truncation_radius(channel.n)
+    radius = kernel_truncation_radius(channel.n)
     decay = math.exp(-gt)
     root_decay = math.sqrt(decay)
     root_mix = math.sqrt(1.0 - decay)
@@ -124,33 +122,27 @@ def convolve_evolve(
     )
 
 
-class FdScheme(Enum):
-    """Time-stepping scheme of the finite-difference evolver."""
-
-    FORWARD_EULER = "forward-euler"
-    ADI = "adi"
-
-
 @dataclass(frozen=True)
 class FokkerPlanckSpec:
     """Finite-difference control; grid geometry comes from the input grid.
 
-    ``dt = None`` selects the explicit stability bound 0.25*dq^2/D, which is
-    also a good accuracy choice for the implicit scheme.
+    The scheme is always Strang-split Crank-Nicolson, which is stable for any
+    step.  ``dt = None`` takes the explicit stability bound 0.25*dq^2/D as the
+    step, which is also a good accuracy choice for the implicit scheme.
     """
 
     dt: float | None = None
-    scheme: FdScheme = FdScheme.ADI
 
     def __post_init__(self):
         if self.dt is not None and not self.dt > 0.0:
             raise ValueError(f"dt must be positive when given, got {self.dt}")
-        if not isinstance(self.scheme, FdScheme):
-            object.__setattr__(self, "scheme", FdScheme(self.scheme))
 
 
 def fd_stability_limit(dx: float, n: float) -> float:
-    """Explicit-step bound dt <= 0.25 dx^2 / D with D = (2n+1)/8 in gamma-t units."""
+    """Explicit-step bound dt <= 0.25 dx^2 / D with D = (2n+1)/8 in gamma-t units.
+
+    :func:`fokker_planck_evolve` uses it as its default step.
+    """
     return 0.25 * dx * dx / ((2.0 * n + 1.0) / 8.0)
 
 
@@ -207,7 +199,9 @@ def _cn_sweep(values: np.ndarray, op, matrix: np.ndarray, step: float, axis: int
     moved = np.moveaxis(rhs, axis, 0).copy()
     moved[0] = 0.0
     moved[-1] = 0.0
-    solved = solve_banded((1, 1), matrix, moved)
+    # The per-step check in fokker_planck_evolve reports a non-finite solution
+    # with its step index, so the solve does not check its input.
+    solved = solve_banded((1, 1), matrix, moved, check_finite=False)
     return np.moveaxis(solved, 0, axis)
 
 
@@ -218,19 +212,17 @@ def fokker_planck_evolve(
 ) -> WignerGrid:
     """Integrate the drift-diffusion equation from 0 to ``channel.gamma_t``.
 
-    The default scheme splits the two directions (Strang) and treats each 1-D
-    advection-diffusion operator with Crank-Nicolson tridiagonal solves, so it
-    is unconditionally stable; ``forward-euler`` applies the same spatial
-    operator explicitly and must respect :func:`fd_stability_limit`.  The
-    boundary is Dirichlet zero; the mass crossing it is logged and expected
-    to stay below 1e-4 on a properly sized grid.
+    Each step splits the two directions (Strang) and treats each 1-D
+    advection-diffusion operator with Crank-Nicolson tridiagonal solves, so
+    the scheme is unconditionally stable.  The boundary is Dirichlet zero; the
+    mass crossing it is logged and expected to stay below 1e-4 on a properly
+    sized grid.
 
     Raises
     ------
-    StabilityError
-        Before stepping, if the explicit step exceeds the stability bound.
     NonConvergenceError
-        If the solution stops being finite mid-run (with the step index).
+        If the solution stops being finite, including from a non-finite
+        input grid (with the index of the step that produced it).
     """
     if spec is None:
         spec = FokkerPlanckSpec()
@@ -239,42 +231,27 @@ def fokker_planck_evolve(
         return initial
 
     diffusion = (2.0 * channel.n + 1.0) / 8.0
-    limit = fd_stability_limit(min(initial.dq, initial.dp), channel.n)
-    dt = spec.dt if spec.dt is not None else limit
-    if spec.scheme is FdScheme.FORWARD_EULER and dt > limit * (1.0 + 1e-12):
-        raise StabilityError(
-            f"explicit step dt={dt:g} exceeds the stability bound {limit:g} "
-            f"(dq={initial.dq:g}, D={diffusion:g})"
-        )
+    dt = spec.dt
+    if dt is None:
+        dt = fd_stability_limit(min(initial.dq, initial.dp), channel.n)
     n_steps = max(1, math.ceil(gamma_t / dt))
     dt = gamma_t / n_steps
 
     op_q = _axis_operator(initial.q_axis, diffusion)
     op_p = _axis_operator(initial.p_axis, diffusion)
+    cn_q_half = _crank_nicolson_matrix(op_q, dt / 2.0)
+    cn_p_full = _crank_nicolson_matrix(op_p, dt)
 
     values = initial.values.copy()
     mass_before = initial.trapezoid_integral()
-
-    if spec.scheme is FdScheme.FORWARD_EULER:
-        for step_index in range(n_steps):
-            values += dt * (_apply_operator(values, op_q, 0) + _apply_operator(values, op_p, 1))
-            values[0, :] = values[-1, :] = 0.0
-            values[:, 0] = values[:, -1] = 0.0
-            if not np.all(np.isfinite(values)):
-                raise NonConvergenceError(
-                    "finite-difference solution became non-finite", step_index=step_index
-                )
-    else:
-        cn_q_half = _crank_nicolson_matrix(op_q, dt / 2.0)
-        cn_p_full = _crank_nicolson_matrix(op_p, dt)
-        for step_index in range(n_steps):
-            values = _cn_sweep(values, op_q, cn_q_half, dt / 2.0, axis=0)
-            values = _cn_sweep(values, op_p, cn_p_full, dt, axis=1)
-            values = _cn_sweep(values, op_q, cn_q_half, dt / 2.0, axis=0)
-            if not np.all(np.isfinite(values)):
-                raise NonConvergenceError(
-                    "finite-difference solution became non-finite", step_index=step_index
-                )
+    for step_index in range(n_steps):
+        values = _cn_sweep(values, op_q, cn_q_half, dt / 2.0, axis=0)
+        values = _cn_sweep(values, op_p, cn_p_full, dt, axis=1)
+        values = _cn_sweep(values, op_q, cn_q_half, dt / 2.0, axis=0)
+        if not np.all(np.isfinite(values)):
+            raise NonConvergenceError(
+                "finite-difference solution became non-finite", step_index=step_index
+            )
 
     result = initial.with_values(values)
     drift = result.trapezoid_integral() - mass_before

@@ -218,9 +218,6 @@ def cmd_wigner_grid(args) -> int:
 
 def cmd_pnw_curve(args) -> int:
     gamma_t_max = args.gamma_t if args.gamma_t is not None else 1.2 * threshold_spats(args.n)
-    if args.steps < 2:
-        print("thermal-wigner pnw-curve: error: --steps must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
     lattice = np.linspace(0.0, gamma_t_max, args.steps)
     shape = (len(args.bar_n), args.steps)
     analytic = np.empty(shape)
@@ -413,7 +410,7 @@ def build_parser() -> _Parser:
     curve.add_argument("--bar-n", type=float, nargs="+", default=[0.0, 3.0 / 7.0, 1.0])
     curve.add_argument("--n", type=float, default=0.5)
     curve.add_argument("--gamma-t", type=float, default=None, help="curve endpoint (default: 1.2 gt_c)")
-    curve.add_argument("--steps", type=int, default=101, help="lattice points (>= 2)")
+    curve.add_argument("--steps", type=_grid_points, default=101, help="lattice points (>= 2)")
     curve.add_argument("--with-numeric", action="store_true", help="add the quadrature column")
     curve.add_argument("--out", default=None, help="output file (default: stdout)")
     curve.add_argument("--format", choices=("csv", "jsonl"), default="csv")

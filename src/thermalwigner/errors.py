@@ -20,7 +20,3 @@ class NonConvergenceError(RuntimeError):
             detail = ", ".join(f"{k}={v!r}" for k, v in sorted(self.diagnostics.items()))
             return f"{base} [{detail}]"
         return base
-
-
-class StabilityError(ValueError):
-    """A time step violates the stability bound of an explicit scheme."""

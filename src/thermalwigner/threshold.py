@@ -11,12 +11,12 @@ proportional to the initial vacuum population.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import NonConvergenceError
-from .negativity import pnw_spats_analytic
 from .states import (
     ChannelParams,
     FockDiagonalState,
@@ -29,8 +29,6 @@ from .wigner import eval_fock_diagonal_wigner, eval_q_function, eval_spats_wigne
 _BISECTION_MAX_ITER = 60
 _BRACKET_HIGH = 2.0
 
-_METHODS = ("origin-sign-root", "pnw-vanishing")
-
 # Forced by normalization: if W(.,gt_c) = c * Q0(sqrt(2) .) with both sides
 # integrating to 1, then c = 2 in the photon-loss channel.
 Q_IDENTITY_CONSTANT = 2.0
@@ -38,26 +36,23 @@ Q_IDENTITY_CONSTANT = 2.0
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Analytic vs numeric threshold decay time for one channel setting."""
+    """Analytic vs numeric threshold decay time for one channel setting.
+
+    ``method`` names the one root finder, :func:`threshold_numeric_spats`.
+    """
+
+    method: ClassVar[str] = "origin-sign-root"
 
     gamma_t_c_analytic: float
     gamma_t_c_numeric: float
-    method: str
     residual: float
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         if self.gamma_t_c_analytic < 0.0 or self.gamma_t_c_numeric < 0.0:
             raise ValueError("threshold decay times must be >= 0")
 
     def to_json_dict(self) -> dict:
-        return {
-            "gamma_t_c_analytic": self.gamma_t_c_analytic,
-            "gamma_t_c_numeric": self.gamma_t_c_numeric,
-            "method": self.method,
-            "residual": self.residual,
-        }
+        return {**asdict(self), "method": self.method}
 
 
 @dataclass(frozen=True)
@@ -80,15 +75,7 @@ class TheoremReport:
     state_family: str = field(default="fock-diagonal")
 
     def to_json_dict(self) -> dict:
-        return {
-            "state_id": self.state_id,
-            "n": self.n,
-            "w_origin_at_threshold": self.w_origin_at_threshold,
-            "min_w_at_threshold": self.min_w_at_threshold,
-            "q_identity_residual": self.q_identity_residual,
-            "passed": self.passed,
-            "state_family": self.state_family,
-        }
+        return asdict(self)
 
 
 def threshold_spats(n: float) -> float:
@@ -115,14 +102,14 @@ def threshold_numeric_spats(
     n: float,
     bar_n: float,
     tol: float = 1e-10,
-    method: str = "origin-sign-root",
 ) -> ThresholdReport:
     """Locate the threshold decay time by bisection on [0, 2].
 
-    ``origin-sign-root`` bisects the sign of the evolved Wigner value at the
-    origin (equivalently of kappa); ``pnw-vanishing`` bisects on whether the
-    analytic negativity volume is still positive.  Both are monotone switches
-    on the bracket for every tested parameter range.
+    Bisects the sign of the evolved Wigner value at the origin, which is the
+    sign of kappa, a monotone switch on the bracket for every tested
+    parameter range.  One method is enough: the negativity volume is positive
+    exactly while kappa < 0, so bisecting on it would switch at the same
+    decay time and check nothing new.
 
     Raises
     ------
@@ -131,15 +118,9 @@ def threshold_numeric_spats(
     """
     if not (1e-12 <= tol <= 1e-3):
         raise ValueError(f"tol must be in [1e-12, 1e-3], got {tol}")
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
 
-    if method == "origin-sign-root":
-        def still_negative(gt: float) -> bool:
-            return float(eval_spats_wigner_evolved(0.0, 0.0, ChannelParams(n, gt), bar_n)) < 0.0
-    else:
-        def still_negative(gt: float) -> bool:
-            return pnw_spats_analytic(ChannelParams(n, gt), bar_n).volume > 0.0
+    def still_negative(gt: float) -> bool:
+        return float(eval_spats_wigner_evolved(0.0, 0.0, ChannelParams(n, gt), bar_n)) < 0.0
 
     lo, hi = 0.0, _BRACKET_HIGH
     if not still_negative(lo) or still_negative(hi):
@@ -148,7 +129,6 @@ def threshold_numeric_spats(
             bracket=(lo, hi),
             n=n,
             bar_n=bar_n,
-            method=method,
         )
     for _ in range(_BISECTION_MAX_ITER):
         if (hi - lo) / 2.0 < tol:
@@ -163,7 +143,6 @@ def threshold_numeric_spats(
     return ThresholdReport(
         gamma_t_c_analytic=analytic,
         gamma_t_c_numeric=numeric,
-        method=method,
         residual=abs(analytic - numeric),
     )
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -22,13 +22,6 @@ LAGUERRE_MAX_INDEX = 500
 
 DEFAULT_GRID_POINTS = 201
 DEFAULT_EPSILON_GRID = 1e-6
-
-
-class PhasePoint(NamedTuple):
-    """Point beta = q + i p of the phase plane."""
-
-    q: float
-    p: float
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,8 @@ import pytest
 from thermalwigner import (
     ChannelParams,
     ConvolutionSpec,
-    FdScheme,
     FokkerPlanckSpec,
     NonConvergenceError,
-    StabilityError,
     convolve_evolve,
     eval_spats_wigner_evolved,
     eval_spats_wigner_initial,
@@ -31,7 +29,6 @@ class TestConvolutionSpec:
             {"quad_order": 4},
             {"abs_tol": 0.0},
             {"abs_tol": -1e-9},
-            {"domain_radius": -1.0},
             {"max_doublings": 0},
         ],
     )
@@ -98,9 +95,6 @@ class TestConvolveEvolve:
 
 
 class TestFokkerPlanckSpec:
-    def test_scheme_accepts_string(self):
-        assert FokkerPlanckSpec(scheme="forward-euler").scheme is FdScheme.FORWARD_EULER
-
     def test_invalid_dt_rejected(self):
         with pytest.raises(ValueError):
             FokkerPlanckSpec(dt=0.0)
@@ -137,26 +131,10 @@ class TestFokkerPlanckEvolve:
         exact = eval_thermal_wigner(qq, pp, math.exp(-1.0))
         assert np.max(np.abs(out.values - exact)) < 1e-3
 
-    def test_forward_euler_cross_validates(self):
-        grid = self.make_grid(points=241)
-        channel = ChannelParams(0.5, 0.3)
-        spec = FokkerPlanckSpec(scheme=FdScheme.FORWARD_EULER)
-        out = fokker_planck_evolve(grid, channel, spec)
-        qq, pp = np.meshgrid(out.q_axis, out.p_axis, indexing="ij")
-        exact = eval_spats_wigner_evolved(qq, pp, channel, 1.0)
-        assert np.max(np.abs(out.values - exact)) < 1e-3
-
-    def test_forward_euler_rejects_unstable_step(self):
-        grid = self.make_grid(points=101)
-        limit = fd_stability_limit(grid.dq, 0.5)
-        spec = FokkerPlanckSpec(dt=4.0 * limit, scheme=FdScheme.FORWARD_EULER)
-        with pytest.raises(StabilityError):
-            fokker_planck_evolve(grid, ChannelParams(0.5, 0.3), spec)
-
     def test_adi_accepts_large_steps(self):
         grid = self.make_grid(points=121)
         limit = fd_stability_limit(grid.dq, 0.5)
-        spec = FokkerPlanckSpec(dt=10.0 * limit, scheme=FdScheme.ADI)
+        spec = FokkerPlanckSpec(dt=10.0 * limit)
         out = fokker_planck_evolve(grid, ChannelParams(0.5, 0.3), spec)
         assert np.all(np.isfinite(out.values))
 
@@ -173,12 +151,15 @@ class TestFokkerPlanckEvolve:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_input_detected_with_step_index(self):
+        # The solver's per-step check, not the linear solve, reports either poison.
         grid = self.make_grid(points=41)
-        poisoned = grid.with_values(np.where(np.arange(41)[:, None] == 20, np.inf, grid.values))
-        spec = FokkerPlanckSpec(scheme=FdScheme.FORWARD_EULER)
-        with pytest.raises(NonConvergenceError) as excinfo:
-            fokker_planck_evolve(poisoned, ChannelParams(0.5, 0.1), spec)
-        assert "step_index" in excinfo.value.diagnostics
+        for poison in (np.inf, np.nan):
+            poisoned = grid.with_values(
+                np.where(np.arange(41)[:, None] == 20, poison, grid.values)
+            )
+            with pytest.raises(NonConvergenceError) as excinfo:
+                fokker_planck_evolve(poisoned, ChannelParams(0.5, 0.1))
+            assert excinfo.value.diagnostics["step_index"] == 0
 
 
 class TestOracleCrossAgreement:

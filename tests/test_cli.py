@@ -197,8 +197,9 @@ class TestPnwCurveCommand:
         assert err.count("\n") == 1  # one line, no traceback
 
     def test_too_few_steps_is_usage_error(self, tmp_path, capsys):
-        code = main(["pnw-curve", "--steps", "1", "--out", str(tmp_path / "c.csv")])
-        assert code == EXIT_USAGE
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pnw-curve", "--steps", "1", "--out", str(tmp_path / "c.csv")])
+        assert excinfo.value.code == EXIT_USAGE
 
 
 class TestThresholdCommand:

@@ -5,7 +5,6 @@ import pytest
 
 from thermalwigner import (
     ChannelParams,
-    PhasePoint,
     WignerGrid,
     default_extent,
     eval_fock_diagonal_wigner,
@@ -297,9 +296,3 @@ class TestWignerGrid:
 )
 def test_default_extent(bar_n, n, expected):
     assert default_extent(bar_n, n) == pytest.approx(expected, abs=1e-12)
-
-
-def test_phase_point_unpacks_into_evaluators():
-    pt = PhasePoint(0.3, -0.2)
-    assert pt.q == 0.3 and pt.p == -0.2
-    assert eval_thermal_wigner(*pt, 1.0) == eval_thermal_wigner(0.3, -0.2, 1.0)
