@@ -29,6 +29,7 @@ class TestConvolutionSpec:
             {"quad_order": 4},
             {"abs_tol": 0.0},
             {"abs_tol": -1e-9},
+            {"abs_tol": float("nan")},
             {"max_doublings": 0},
         ],
     )
