@@ -34,7 +34,6 @@ from .states import (
     vacuum_population,
 )
 from .threshold import (
-    Q_IDENTITY_CONSTANT,
     TheoremReport,
     ThresholdReport,
     threshold_general,
@@ -66,7 +65,6 @@ __all__ = [
     "FokkerPlanckSpec",
     "NegativityResult",
     "NonConvergenceError",
-    "Q_IDENTITY_CONSTANT",
     "TheoremReport",
     "ThresholdReport",
     "WignerGrid",

@@ -28,7 +28,14 @@ from .channel import FokkerPlanckSpec, convolve_evolve, fokker_planck_evolve
 from .errors import NonConvergenceError
 from .negativity import pnw_radial, pnw_spats_analytic
 from .states import ChannelParams, evolve_fock_diagonal, random_zero_vacuum_state, spats_weights
-from .threshold import threshold_numeric_spats, threshold_spats, verify_zero_vacuum_theorem
+from .threshold import (
+    TOL_MIN,
+    TOL_ORIGIN,
+    TOL_Q,
+    threshold_numeric_spats,
+    threshold_spats,
+    verify_zero_vacuum_theorem,
+)
 from .wigner import (
     DEFAULT_GRID_POINTS,
     default_extent,
@@ -355,7 +362,7 @@ _VERIFY_RUNNERS = {
 
 _SUITE_TOLERANCES = {
     "oracles": _ORACLE_TOLS,
-    "theorem": {"tol_origin": 1e-9, "tol_min": 1e-9, "tol_q": 1e-9},
+    "theorem": {"tol_origin": TOL_ORIGIN, "tol_min": TOL_MIN, "tol_q": TOL_Q},
     "thresholds": {"residual": _THRESHOLD_RESIDUAL_TOL},
 }
 

@@ -21,7 +21,6 @@ from .states import ChannelParams, FockDiagonalState
 LAGUERRE_MAX_INDEX = 500
 
 DEFAULT_GRID_POINTS = 201
-DEFAULT_EPSILON_GRID = 1e-6
 
 
 @dataclass(frozen=True)
@@ -161,9 +160,6 @@ class WignerGrid:
     """Uniform phase-space sampling of a quasiprobability function.
 
     ``values[i, j]`` is the sample at (q_axis[i], p_axis[j]) (row-major in q).
-    ``epsilon_grid`` declares the normalization tolerance the grid was built
-    for: a grid sampled from a normalized state over a sufficient extent
-    should trapezoid-integrate to 1 within it.
     """
 
     q_min: float
@@ -173,8 +169,6 @@ class WignerGrid:
     n_q: int
     n_p: int
     values: np.ndarray
-    cell_area: float
-    epsilon_grid: float = DEFAULT_EPSILON_GRID
 
     def __post_init__(self):
         for name in ("q_min", "q_max", "p_min", "p_max"):
@@ -187,9 +181,6 @@ class WignerGrid:
         vals = np.array(self.values, dtype=float)
         if vals.shape != (self.n_q, self.n_p):
             raise ValueError(f"values shape {vals.shape} != ({self.n_q}, {self.n_p})")
-        expected_area = self.dq * self.dp
-        if not math.isclose(self.cell_area, expected_area, rel_tol=1e-12):
-            raise ValueError(f"cell_area {self.cell_area} != dq*dp = {expected_area}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -200,6 +191,12 @@ class WignerGrid:
     @property
     def dp(self) -> float:
         return (self.p_max - self.p_min) / (self.n_p - 1)
+
+    @property
+    def cell_area(self) -> float:
+        """Area of one cell, from the first spacing of each sampled axis."""
+        q_axis, p_axis = self.q_axis, self.p_axis
+        return (q_axis[1] - q_axis[0]) * (p_axis[1] - p_axis[0])
 
     @property
     def q_axis(self) -> np.ndarray:
@@ -226,7 +223,6 @@ def sample_grid(
     p_max: float,
     n_q: int,
     n_p: int,
-    epsilon_grid: float = DEFAULT_EPSILON_GRID,
 ) -> WignerGrid:
     """Sample ``evaluator(q, p)`` on a uniform grid.
 
@@ -237,8 +233,6 @@ def sample_grid(
     qs = np.linspace(q_min, q_max, n_q)
     ps = np.linspace(p_min, p_max, n_p)
     qq, pp = np.meshgrid(qs, ps, indexing="ij")
-    values = evaluator(qq, pp)
-    cell_area = (qs[1] - qs[0]) * (ps[1] - ps[0])
     return WignerGrid(
         q_min=q_min,
         q_max=q_max,
@@ -246,9 +240,7 @@ def sample_grid(
         p_max=p_max,
         n_q=n_q,
         n_p=n_p,
-        values=values,
-        cell_area=cell_area,
-        epsilon_grid=epsilon_grid,
+        values=evaluator(qq, pp),
     )
 
 

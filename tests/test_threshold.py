@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermalwigner import (
     ChannelParams,
-    Q_IDENTITY_CONSTANT,
+    FockDiagonalState,
     convolve_evolve,
     eval_fock_diagonal_wigner,
     eval_fock_wigner,
@@ -97,7 +99,7 @@ class TestThresholdNumeric:
         assert payload["method"] == "origin-sign-root"
 
     def test_theorem_report_serializes(self):
-        report = verify_zero_vacuum_theorem(spats_weights(1.0), 0.0, resolution=21)
+        report = verify_zero_vacuum_theorem(spats_weights(1.0), 0.0)
         assert set(report.to_json_dict()) == {
             "state_id",
             "n",
@@ -148,30 +150,36 @@ class TestZeroVacuumTheorem:
             closed = (4.0 * r * r / math.pi) * math.exp(-2.0 * r * r)
             assert abs(w - closed) < 1e-9
             q0 = float(eval_q_function(math.sqrt(2.0) * r, 0.0, state))
-            assert abs(w - Q_IDENTITY_CONSTANT * q0) < 1e-9
+            assert abs(w - 2.0 * q0) < 1e-9
 
-    def test_identity_also_holds_via_convolution_route(self):
+    @pytest.mark.parametrize("n", [0.0, 0.5, 2.0])
+    def test_identity_also_holds_via_convolution_route(self, n):
         # convolution of the one-photon Wigner function vs the Q-series,
         # two fully independent code paths
         state = spats_weights(0.0)
-        channel = ChannelParams(0.0, math.log(2.0))
+        gamma_t_c = threshold_spats(n)
+        channel = ChannelParams(n, gamma_t_c)
+        scale = math.exp(gamma_t_c / 2.0)
         for q, p in [(0.0, 0.0), (0.5, -0.3), (1.2, 0.8)]:
             conv = convolve_evolve(lambda a, b: eval_fock_wigner(a, b, 1), channel, q, p)
-            q0 = float(eval_q_function(math.sqrt(2.0) * q, math.sqrt(2.0) * p, state))
-            assert abs(conv - Q_IDENTITY_CONSTANT * q0) < 1e-8
+            q0 = float(eval_q_function(scale * q, scale * p, state))
+            assert abs(conv - math.exp(gamma_t_c) * q0) < 1e-8
 
-    def test_identity_constant_forced_by_normalization(self):
-        # c = (integral of W) / (integral of Q0(sqrt(2) .)) must equal 2
+    @pytest.mark.parametrize("n", [0.0, 0.5, 1.0, 2.0])
+    def test_identity_constant_forced_by_normalization(self, n):
+        # both sides integrate to 1, so the constant c in
+        # W = c * Q0(e^(gt_c/2) .) is forced: c = e^(gt_c)
         state = random_zero_vacuum_state(11, 12)
-        evolved = evolve_fock_diagonal(state, ChannelParams(0.0, math.log(2.0)), step_tol=1e-12)
+        gamma_t_c = threshold_spats(n)
+        evolved = evolve_fock_diagonal(state, ChannelParams(n, gamma_t_c), step_tol=1e-12)
         axis = np.linspace(-6.0, 6.0, 241)
         qq, pp = np.meshgrid(axis, axis, indexing="ij")
         w = eval_fock_diagonal_wigner(qq, pp, evolved)
-        scale = math.sqrt(2.0)
+        scale = math.exp(gamma_t_c / 2.0)
         q0 = eval_q_function(scale * qq, scale * pp, state)
         w_mass = np.trapezoid(np.trapezoid(w, axis, axis=1), axis)
         q_mass = np.trapezoid(np.trapezoid(q0, axis, axis=1), axis)
-        assert w_mass / q_mass == pytest.approx(Q_IDENTITY_CONSTANT, abs=1e-6)
+        assert w_mass / q_mass == pytest.approx(math.exp(gamma_t_c), abs=1e-6)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("n", [0.0, 0.5, 1.0])
@@ -181,10 +189,19 @@ class TestZeroVacuumTheorem:
         assert report.passed
         assert abs(report.w_origin_at_threshold) < 1e-9
         assert report.min_w_at_threshold > -1e-9
-        if n == 0.0:
-            assert report.q_identity_residual < 1e-9
-        else:
-            assert report.q_identity_residual is None
+        assert report.q_identity_residual < 1e-9
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        draws=st.lists(
+            st.floats(0.0, 1.0, allow_subnormal=False), min_size=1, max_size=24
+        ).filter(lambda draws: sum(draws) > 0.0),
+        n=st.floats(0.0, 5.0),
+    )
+    def test_random_weights_pass_at_every_occupancy(self, draws, n):
+        weights = np.array([0.0, *draws])
+        report = verify_zero_vacuum_theorem(FockDiagonalState(weights / weights.sum()), n)
+        assert report.passed, report
 
     def test_nonzero_vacuum_population_rejected(self):
         with pytest.raises(ValueError):
