@@ -8,12 +8,10 @@ and verifies the threshold-decay-time laws.
 """
 
 from .channel import (
-    ConvolutionSpec,
     FokkerPlanckSpec,
     convolve_evolve,
     fd_stability_limit,
     fokker_planck_evolve,
-    kernel_truncation_radius,
 )
 from .errors import NonConvergenceError
 from .negativity import (
@@ -46,7 +44,6 @@ from .wigner import (
     WignerGrid,
     default_extent,
     eval_fock_diagonal_wigner,
-    eval_fock_wigner,
     eval_q_function,
     eval_spats_wigner_evolved,
     eval_spats_wigner_initial,
@@ -59,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelParams",
-    "ConvolutionSpec",
     "EvolvedSpatsCoefficients",
     "FockDiagonalState",
     "FokkerPlanckSpec",
@@ -71,7 +67,6 @@ __all__ = [
     "convolve_evolve",
     "default_extent",
     "eval_fock_diagonal_wigner",
-    "eval_fock_wigner",
     "eval_q_function",
     "eval_spats_wigner_evolved",
     "eval_spats_wigner_initial",
@@ -80,7 +75,6 @@ __all__ = [
     "evolved_coefficients",
     "fd_stability_limit",
     "fokker_planck_evolve",
-    "kernel_truncation_radius",
     "mean_photon",
     "negative_region_radius_spats",
     "pnw_numeric",

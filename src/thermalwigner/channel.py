@@ -4,9 +4,10 @@ of the drift-diffusion (Fokker-Planck) equation
 
     dW/d(gamma*t) = (1/2)(d_q q + d_p p) W + ((2n+1)/8) (d_q^2 + d_p^2) W.
 
-The equation is integrated by one scheme, Strang-split Crank-Nicolson on a
-uniform grid.  Both routes serve as oracles for closed-form results and for
-each other.
+The convolution quadrature has fixed settings, given in
+:func:`convolve_evolve`.  The equation is integrated by one scheme,
+Strang-split Crank-Nicolson on a uniform grid.  Both routes serve as oracles
+for closed-form results and for each other.
 """
 
 from __future__ import annotations
@@ -28,34 +29,9 @@ from .wigner import WignerGrid, eval_thermal_wigner
 logger = logging.getLogger(__name__)
 
 EDGE_MASS_LOSS_BOUND = 1e-4
-
-
-@dataclass(frozen=True)
-class ConvolutionSpec:
-    """Quadrature control for the convolution evolver.
-
-    The kernel-centered integral is always truncated at
-    :func:`kernel_truncation_radius`, 6 kernel standard deviations.  The
-    Gauss-Legendre order starts at ``quad_order`` and doubles until two
-    successive estimates agree within ``abs_tol``.
-    """
-
-    quad_order: int = 16
-    abs_tol: float = 1e-9
-    max_doublings: int = 7
-
-    def __post_init__(self):
-        if self.quad_order < 8:
-            raise ValueError(f"quad_order must be >= 8, got {self.quad_order}")
-        if not self.abs_tol > 0.0:
-            raise ValueError(f"abs_tol must be > 0, got {self.abs_tol}")
-        if self.max_doublings < 1:
-            raise ValueError("max_doublings must be >= 1")
-
-
-def kernel_truncation_radius(n: float) -> float:
-    """Default kernel-integral truncation: 6 standard deviations of the bath kernel."""
-    return 6.0 * math.sqrt((1.0 + 2.0 * n) / 4.0)
+_QUAD_ORDER = 16
+_ABS_TOL = 1e-9
+_MAX_DOUBLINGS = 7
 
 
 @functools.lru_cache(maxsize=32)
@@ -66,13 +42,7 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def convolve_evolve(
-    initial: Callable,
-    channel: ChannelParams,
-    q: float,
-    p: float,
-    spec: ConvolutionSpec | None = None,
-) -> float:
+def convolve_evolve(initial: Callable, channel: ChannelParams, q: float, p: float) -> float:
     """Evolved Wigner value at (q, p) by convolution with the bath kernel.
 
     Computes  e^(gt) * integral of W_T(x, y) * initial((q - sqrt(1-e^(-gt)) x)
@@ -81,26 +51,28 @@ def convolve_evolve(
     broadcasting numpy arrays.  At gamma_t = 0 the integral is bypassed and
     the initial evaluator is returned directly.
 
+    The kernel integral is truncated at 6 standard deviations of the bath
+    kernel.  The Gauss-Legendre order starts at 16 and doubles until two
+    successive estimates agree within 1e-9.
+
     Raises
     ------
     NonConvergenceError
-        If successive order doublings never agree within ``spec.abs_tol``.
+        If 7 order doublings never bring two estimates within 1e-9.
     """
-    if spec is None:
-        spec = ConvolutionSpec()
     gt = channel.gamma_t
     if gt == 0.0:
         return float(initial(q, p))
-    radius = kernel_truncation_radius(channel.n)
+    radius = 6.0 * math.sqrt((1.0 + 2.0 * channel.n) / 4.0)
     decay = math.exp(-gt)
     root_decay = math.sqrt(decay)
     root_mix = math.sqrt(1.0 - decay)
     prefactor = math.exp(gt)
 
-    order = spec.quad_order
+    order = _QUAD_ORDER
     previous = None
     estimate = None
-    for _ in range(spec.max_doublings + 1):
+    for _ in range(_MAX_DOUBLINGS + 1):
         nodes, weights = _gauss_legendre(order)
         x = nodes * radius
         w = weights * radius
@@ -108,7 +80,7 @@ def convolve_evolve(
         kern = eval_thermal_wigner(xx, yy, channel.n)
         shifted = initial((q - root_mix * xx) / root_decay, (p - root_mix * yy) / root_decay)
         estimate = prefactor * float(np.einsum("i,j,ij->", w, w, kern * shifted))
-        if previous is not None and abs(estimate - previous) < spec.abs_tol:
+        if previous is not None and abs(estimate - previous) < _ABS_TOL:
             return estimate
         previous = estimate
         order *= 2
@@ -117,7 +89,7 @@ def convolve_evolve(
         last=estimate,
         previous=previous,
         error_estimate=abs(estimate - previous),
-        abs_tol=spec.abs_tol,
+        abs_tol=_ABS_TOL,
         final_order=order // 2,
     )
 

@@ -26,6 +26,8 @@ from .wigner import evolved_coefficients
 
 _RADIAL_SCAN_POINTS = 4097
 _SPLIT_DEPTH = 6
+# resolution doublings of pnw_numeric before it gives up
+_MAX_REFINEMENTS = 4
 # corner offsets of a square cell, in units of half its side
 _CORNER_Q = np.array([-1.0, -1.0, 1.0, 1.0])
 _CORNER_P = np.array([-1.0, 1.0, -1.0, 1.0])
@@ -219,35 +221,32 @@ def pnw_numeric(
     extent: float,
     base_resolution: int = 201,
     abs_tol: float = 1e-6,
-    max_refinements: int = 4,
 ) -> NegativityResult:
     """Negativity volume of a Gaussian-tailed Wigner evaluator on [-extent, extent]^2.
 
     ``evaluator(q, p)`` must broadcast over numpy arrays; it may have any
     symmetry (use :func:`pnw_radial` for a rotationally symmetric one).  A
-    cell-center sign-masked midpoint rule is refined by resolution doubling
-    until two estimates agree to ``abs_tol``.  Cells straddling the nodal
-    curve are split into quarters, one level at a time, with one evaluator
-    call per level for all live centers and one for their corners.
+    cell-center sign-masked midpoint rule is refined by resolution doubling,
+    at most 4 times, until two estimates agree to ``abs_tol``.  Cells
+    straddling the nodal curve are split into quarters, one level at a time,
+    with one evaluator call per level for all live centers and one for their
+    corners.
 
     Raises
     ------
     ValueError
-        For a non-positive ``extent`` or ``abs_tol``, ``base_resolution`` < 2
-        or ``max_refinements`` < 1.
+        For a non-positive ``extent`` or ``abs_tol``, or a ``base_resolution``
+        below 2.
     NonConvergenceError
-        When ``max_refinements`` doublings do not reach ``abs_tol``; the last
-        two estimates ride along in the diagnostics.
+        When 4 doublings do not reach ``abs_tol``; the last two estimates ride
+        along in the diagnostics.
     """
     _check_domain("extent", extent, abs_tol)
     if base_resolution < 2:
         raise ValueError(f"base_resolution must be >= 2, got {base_resolution}")
-    if max_refinements < 1:
-        # convergence needs two estimates, so at least one doubling
-        raise ValueError(f"max_refinements must be >= 1, got {max_refinements}")
     previous = estimate = None
     resolution = base_resolution
-    for _ in range(max_refinements + 1):
+    for _ in range(_MAX_REFINEMENTS + 1):
         previous, estimate = estimate, _masked_cell_sum(evaluator, extent, resolution)
         if previous is not None and abs(estimate - previous) < abs_tol:
             return NegativityResult(volume=estimate, region_radius=None, method="quadrature")

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TAIL_TOL = 1e-12
-MAX_TAIL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -80,11 +79,6 @@ class FockDiagonalState:
         return self.weights.size - 1
 
 
-def _check_tail_tol(tail_tol: float) -> None:
-    if not (0.0 < tail_tol <= MAX_TAIL_TOL):
-        raise ValueError(f"tail_tol must be in (0, {MAX_TAIL_TOL:g}], got {tail_tol}")
-
-
 def _spats_tail_mass(cutoff: int, bar_n: float) -> float:
     """Mass of the photon-added thermal weights beyond ``cutoff`` (exact)."""
     x = bar_n / (1.0 + bar_n)
@@ -100,25 +94,24 @@ def _spats_tail_moment(cutoff: int, bar_n: float) -> float:
     return x ** (cutoff + 1) * poly * (1.0 + bar_n) ** 2 / bar_n
 
 
-def spats_weights(bar_n: float, tail_tol: float = DEFAULT_TAIL_TOL) -> FockDiagonalState:
+def spats_weights(bar_n: float) -> FockDiagonalState:
     """Populations of the single photon-added thermal state (SPATS).
 
     p_l = l * nbar^(l-1) / (1 + nbar)^(l+1) for l >= 1 and p_0 = 0, where
     ``bar_n`` is the mean photon number of the thermal seed.  ``bar_n = 0``
     gives exactly the one-photon Fock state.  The cutoff is the smallest
     index at which both the analytic tail mass and the tail of the first
-    moment fall below ``tail_tol`` (so the truncated mean photon number is
-    accurate to ``tail_tol`` as well).
+    moment fall below ``DEFAULT_TAIL_TOL`` = 1e-12 (so the truncated mean
+    photon number is accurate to 1e-12 as well).
     """
-    _check_tail_tol(tail_tol)
     if not (math.isfinite(bar_n) and bar_n >= 0.0):
         raise ValueError(f"bar_n must be finite and >= 0, got {bar_n}")
     if bar_n == 0.0:
-        return FockDiagonalState(np.array([0.0, 1.0]), tail_tol)
+        return FockDiagonalState(np.array([0.0, 1.0]))
     cutoff = 1
     while (
-        _spats_tail_mass(cutoff, bar_n) >= tail_tol
-        or _spats_tail_moment(cutoff, bar_n) >= tail_tol
+        _spats_tail_mass(cutoff, bar_n) >= DEFAULT_TAIL_TOL
+        or _spats_tail_moment(cutoff, bar_n) >= DEFAULT_TAIL_TOL
     ):
         cutoff += 1
     # l x^(l-1) / (1+nbar)^2 with x = nbar/(1+nbar) < 1: no power overflows
@@ -126,31 +119,31 @@ def spats_weights(bar_n: float, tail_tol: float = DEFAULT_TAIL_TOL) -> FockDiago
     l = np.arange(1, cutoff + 1, dtype=float)
     w = np.zeros(cutoff + 1)
     w[1:] = l * x ** (l - 1.0) / (1.0 + bar_n) ** 2
-    return FockDiagonalState(w, tail_tol)
+    return FockDiagonalState(w)
 
 
-def thermal_weights(n_mean: float, tail_tol: float = DEFAULT_TAIL_TOL) -> FockDiagonalState:
+def thermal_weights(n_mean: float) -> FockDiagonalState:
     """Bose-Einstein populations p_l = n^l / (1+n)^(l+1) of a thermal state.
 
     The geometric tail beyond cutoff L is exactly (n/(1+n))^(L+1); the cutoff
-    also confines the first-moment tail x^(L+1) ((L+1) - L x) (1+n) below
-    ``tail_tol`` so the truncated mean photon number stays accurate.
+    keeps both that tail and the first-moment tail x^(L+1) ((L+1) - L x) (1+n)
+    below ``DEFAULT_TAIL_TOL`` = 1e-12, so the truncated mean photon number
+    stays accurate.
     """
-    _check_tail_tol(tail_tol)
     if not (math.isfinite(n_mean) and n_mean >= 0.0):
         raise ValueError(f"n_mean must be finite and >= 0, got {n_mean}")
     if n_mean == 0.0:
-        return FockDiagonalState(np.array([1.0, 0.0]), tail_tol)
+        return FockDiagonalState(np.array([1.0, 0.0]))
     x = n_mean / (1.0 + n_mean)
     cutoff = 1
     while (
-        x ** (cutoff + 1) >= tail_tol
-        or x ** (cutoff + 1) * ((cutoff + 1) - cutoff * x) * (1.0 + n_mean) >= tail_tol
+        x ** (cutoff + 1) >= DEFAULT_TAIL_TOL
+        or x ** (cutoff + 1) * ((cutoff + 1) - cutoff * x) * (1.0 + n_mean) >= DEFAULT_TAIL_TOL
     ):
         cutoff += 1
     l = np.arange(cutoff + 1, dtype=float)
     w = x ** l / (1.0 + n_mean)
-    return FockDiagonalState(w, tail_tol)
+    return FockDiagonalState(w)
 
 
 def mean_photon(state: FockDiagonalState) -> float:

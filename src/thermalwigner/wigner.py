@@ -112,22 +112,12 @@ def _laguerre_series(x, coefficients: np.ndarray):
     return acc
 
 
-def eval_fock_wigner(q, p, l: int):
-    """Wigner function of the Fock state |l>: (2/pi)(-1)^l L_l(4 r^2) e^(-2 r^2)."""
-    if not isinstance(l, (int, np.integer)) or l < 0:
-        raise ValueError(f"Fock index must be a non-negative integer, got {l!r}")
-    if l > LAGUERRE_MAX_INDEX:
-        raise ValueError(
-            f"Fock index {l} exceeds the Laguerre recurrence bound {LAGUERRE_MAX_INDEX}"
-        )
-    r2 = np.square(q) + np.square(p)
-    coeff = np.zeros(l + 1)
-    coeff[l] = (-1.0) ** l
-    return (2.0 / math.pi) * _laguerre_series(4.0 * r2, coeff)
-
-
 def eval_fock_diagonal_wigner(q, p, state: FockDiagonalState):
-    """Wigner function of a Fock-diagonal state: sum_l p_l W_{|l>}(q, p)."""
+    """Wigner function of a Fock-diagonal state: sum_l p_l W_{|l>}(q, p).
+
+    The Fock state |l> has W_{|l>} = (2/pi)(-1)^l L_l(4 r^2) e^(-2 r^2); pass a
+    one-hot state for it (a cutoff is at least 1, so |0> is weights [1, 0]).
+    """
     if state.cutoff > LAGUERRE_MAX_INDEX:
         raise ValueError(
             f"state cutoff {state.cutoff} exceeds the Laguerre recurrence bound "

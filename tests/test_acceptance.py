@@ -15,7 +15,6 @@ from thermalwigner import (
     ChannelParams,
     FokkerPlanckSpec,
     convolve_evolve,
-    ConvolutionSpec,
     default_extent,
     eval_fock_diagonal_wigner,
     eval_q_function,
@@ -134,11 +133,10 @@ def test_criterion_4_oracle_triangle():
     def initial(q, p):
         return eval_spats_wigner_initial(q, p, bar_n)
 
-    # (a) closed form vs (b) convolution at abs_tol 1e-9
-    spec = ConvolutionSpec(abs_tol=1e-9)
+    # (a) closed form vs (b) convolution, which converges to 1e-9
     probe = np.linspace(-5.0, 5.0, 11)
     err_ab = max(
-        abs(convolve_evolve(initial, channel, q, p, spec) - float(eval_spats_wigner_evolved(q, p, channel, bar_n)))
+        abs(convolve_evolve(initial, channel, q, p) - float(eval_spats_wigner_evolved(q, p, channel, bar_n)))
         for q in probe
         for p in probe
     )

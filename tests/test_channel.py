@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from thermalwigner import channel as channel_module
 from thermalwigner import (
     ChannelParams,
-    ConvolutionSpec,
     FokkerPlanckSpec,
     NonConvergenceError,
     convolve_evolve,
@@ -20,22 +20,6 @@ from thermalwigner import (
 
 def spats_initial(bar_n):
     return lambda q, p: eval_spats_wigner_initial(q, p, bar_n)
-
-
-class TestConvolutionSpec:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"quad_order": 4},
-            {"abs_tol": 0.0},
-            {"abs_tol": -1e-9},
-            {"abs_tol": float("nan")},
-            {"max_doublings": 0},
-        ],
-    )
-    def test_invalid_spec_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            ConvolutionSpec(**kwargs)
 
 
 class TestConvolveEvolve:
@@ -87,10 +71,13 @@ class TestConvolveEvolve:
             )
             assert abs(on_axis - diagonal) < 1e-8
 
-    def test_non_convergence_reports_estimates(self):
-        spec = ConvolutionSpec(quad_order=8, abs_tol=1e-16, max_doublings=1)
+    def test_non_convergence_reports_estimates(self, monkeypatch):
+        # an unreachable tolerance, and one doubling so the test stays fast
+        monkeypatch.setattr(channel_module, "_QUAD_ORDER", 8)
+        monkeypatch.setattr(channel_module, "_ABS_TOL", 1e-16)
+        monkeypatch.setattr(channel_module, "_MAX_DOUBLINGS", 1)
         with pytest.raises(NonConvergenceError) as excinfo:
-            convolve_evolve(spats_initial(1.0), ChannelParams(0.5, 0.3), 0.0, 0.0, spec)
+            convolve_evolve(spats_initial(1.0), ChannelParams(0.5, 0.3), 0.0, 0.0)
         assert "last" in excinfo.value.diagnostics
         assert "error_estimate" in excinfo.value.diagnostics
 

@@ -7,9 +7,10 @@ from scipy.optimize import brentq
 
 from thermalwigner import (
     ChannelParams,
+    FockDiagonalState,
     NegativityResult,
     NonConvergenceError,
-    eval_fock_wigner,
+    eval_fock_diagonal_wigner,
     eval_spats_wigner_evolved,
     eval_spats_wigner_initial,
     eval_thermal_wigner,
@@ -151,7 +152,8 @@ class TestNumericVolume:
         oracle = radial_quadrature_oracle(profile, r_lo, r_hi)
         assert oracle == pytest.approx(GOLDEN_FOCK_TWO, abs=1e-12)
 
-        result = pnw_radial(lambda r: eval_fock_wigner(r, 0.0, 2), 6.0)
+        two_photons = FockDiagonalState([0.0, 0.0, 1.0])
+        result = pnw_radial(lambda r: eval_fock_diagonal_wigner(r, 0.0, two_photons), 6.0)
         assert result.volume == pytest.approx(oracle, abs=1e-6)
         # the negative region is an annulus, not an origin disk
         assert result.region_radius is None
@@ -206,7 +208,6 @@ class TestNumericVolume:
                 extent=6.0,
                 base_resolution=21,
                 abs_tol=1e-15,
-                max_refinements=1,
             )
         diagnostics = excinfo.value.diagnostics
         assert {"last", "previous"} <= set(diagnostics)
@@ -222,8 +223,6 @@ class TestNumericVolume:
             {"r_max": 0.0},
             {"r_max": math.inf},
             {"r_max": 6.0, "abs_tol": 0.0},
-            {"extent": 6.0, "max_refinements": 0},
-            {"extent": 6.0, "max_refinements": -1},
         ],
     )
     def test_parameter_domains(self, kwargs):

@@ -1,6 +1,10 @@
 import inspect
+import re
+from pathlib import Path
 
 import thermalwigner
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_all_matches_public_namespace():
@@ -14,3 +18,10 @@ def test_all_matches_public_namespace():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert set(exported) == public | {"__version__"}
+
+
+def test_readme_library_tour_runs():
+    (tour,) = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    namespace = {}
+    exec(compile(tour, str(README), "exec"), namespace)
+    assert namespace["report"].passed

@@ -92,11 +92,6 @@ class TestSpatsWeights:
         with pytest.raises(ValueError):
             spats_weights(-0.5)
 
-    @pytest.mark.parametrize("tail_tol", [0.0, -1e-9, 2e-6])
-    def test_tail_tol_domain(self, tail_tol):
-        with pytest.raises(ValueError):
-            spats_weights(1.0, tail_tol=tail_tol)
-
     def test_large_seed_is_finite_and_evolves(self):
         # the cutoff is 391; nbar^(l-1) / (1+nbar)^(l+1) overflows from l near 300
         state = spats_weights(10.0)
@@ -288,7 +283,8 @@ class TestEvolveFockDiagonal:
 
     def test_loosely_truncated_input_state_evolves(self):
         # initial mass deficit from a coarse tail_tol must not be mistaken
-        # for mass leaking through the truncation during evolution
-        state = spats_weights(2.0, tail_tol=1e-6)
+        # for mass leaking through the truncation during evolution; cutting
+        # the seed-2 SPATS at level 52 drops 1.3e-8 of its mass
+        state = FockDiagonalState(spats_weights(2.0).weights[:53], tail_tol=1e-6)
         evolved = evolve_fock_diagonal(state, ChannelParams(0.5, 0.4), step_tol=1e-10)
         assert abs(evolved.weights.sum() - state.weights.sum()) < 1e-9

@@ -10,7 +10,6 @@ from thermalwigner import (
     FockDiagonalState,
     convolve_evolve,
     eval_fock_diagonal_wigner,
-    eval_fock_wigner,
     eval_q_function,
     eval_spats_wigner_evolved,
     evolve_fock_diagonal,
@@ -161,7 +160,9 @@ class TestZeroVacuumTheorem:
         channel = ChannelParams(n, gamma_t_c)
         scale = math.exp(gamma_t_c / 2.0)
         for q, p in [(0.0, 0.0), (0.5, -0.3), (1.2, 0.8)]:
-            conv = convolve_evolve(lambda a, b: eval_fock_wigner(a, b, 1), channel, q, p)
+            conv = convolve_evolve(
+                lambda a, b: eval_fock_diagonal_wigner(a, b, state), channel, q, p
+            )
             q0 = float(eval_q_function(scale * q, scale * p, state))
             assert abs(conv - math.exp(gamma_t_c) * q0) < 1e-8
 

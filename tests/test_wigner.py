@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermalwigner import (
     ChannelParams,
+    FockDiagonalState,
     WignerGrid,
     default_extent,
     eval_fock_diagonal_wigner,
-    eval_fock_wigner,
     eval_q_function,
     eval_spats_wigner_evolved,
     eval_spats_wigner_initial,
     eval_thermal_wigner,
+    evolve_fock_diagonal,
     evolved_coefficients,
     sample_grid,
     spats_weights,
@@ -21,6 +24,13 @@ from thermalwigner import (
 
 RNG = np.random.default_rng(2024)
 RANDOM_POINTS = RNG.uniform(-4.0, 4.0, size=(100, 2))
+
+
+def fock(l):
+    """The Fock state |l> as a one-hot state; a cutoff is at least 1."""
+    weights = np.zeros(max(l, 1) + 1)
+    weights[l] = 1.0
+    return FockDiagonalState(weights)
 
 
 class TestThermalWigner:
@@ -123,39 +133,42 @@ class TestFockWigner:
     @pytest.mark.parametrize("l", range(7))
     def test_origin_parity(self, l):
         expected = (2.0 / math.pi) * (-1.0) ** l
-        assert eval_fock_wigner(0.0, 0.0, l) == pytest.approx(expected, abs=1e-14)
+        assert eval_fock_diagonal_wigner(0.0, 0.0, fock(l)) == pytest.approx(expected, abs=1e-14)
 
     def test_one_photon_matches_spats_zero_seed(self):
         q, p = RANDOM_POINTS.T
-        assert np.max(np.abs(eval_fock_wigner(q, p, 1) - eval_spats_wigner_initial(q, p, 0.0))) < 1e-12
+        series = eval_fock_diagonal_wigner(q, p, fock(1))
+        assert np.max(np.abs(series - eval_spats_wigner_initial(q, p, 0.0))) < 1e-12
 
     def test_vacuum_matches_thermal_zero(self):
         q, p = RANDOM_POINTS.T
-        assert np.max(np.abs(eval_fock_wigner(q, p, 0) - eval_thermal_wigner(q, p, 0.0))) < 1e-15
+        series = eval_fock_diagonal_wigner(q, p, fock(0))
+        assert np.max(np.abs(series - eval_thermal_wigner(q, p, 0.0))) < 1e-15
 
     def test_high_index_bounded_at_the_grid_corner(self):
         # |L_l(x) e^(-x/2)| <= 1 for x >= 0, so |W_l| <= 2/pi everywhere
         t = np.linspace(-5.0, 5.0, 401)
         with np.errstate(over="raise", invalid="raise"):
-            values = eval_fock_wigner(t, t, 300)
+            values = eval_fock_diagonal_wigner(t, t, fock(300))
         assert np.max(np.abs(values)) <= 2.0 / math.pi
 
-    @pytest.mark.parametrize("l", [-1, 501, 2.5])
+    @pytest.mark.parametrize("l", [501])
     def test_index_domain(self, l):
+        # one above LAGUERRE_MAX_INDEX
         with pytest.raises(ValueError):
-            eval_fock_wigner(0.0, 0.0, l)
+            eval_fock_diagonal_wigner(0.0, 0.0, fock(l))
 
 
 class TestFockDiagonalWigner:
     def test_series_matches_spats_closed_form(self):
-        state = spats_weights(1.0, tail_tol=1e-12)
+        state = spats_weights(1.0)
         q, p = RANDOM_POINTS.T
         series = eval_fock_diagonal_wigner(q, p, state)
         closed = eval_spats_wigner_initial(q, p, 1.0)
         assert np.max(np.abs(series - closed)) < 1e-9
 
     def test_series_matches_thermal_closed_form(self):
-        state = thermal_weights(0.5, tail_tol=1e-12)
+        state = thermal_weights(0.5)
         q, p = RANDOM_POINTS.T
         series = eval_fock_diagonal_wigner(q, p, state)
         closed = eval_thermal_wigner(q, p, 0.5)
@@ -178,6 +191,22 @@ class TestFockDiagonalWigner:
         peak = eval_thermal_wigner(0.0, 0.0, n_mean)
         assert np.max(np.abs(series - closed)) <= 2e-14 * peak
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        bar_n=st.floats(0.0, 3.0),
+        n=st.floats(0.0, 2.0),
+        gamma_t=st.floats(0.0, 1.5),
+    )
+    def test_fock_route_matches_closed_form(self, bar_n, n, gamma_t):
+        # Fock-basis channel map + Laguerre series against the evolved closed form
+        channel = ChannelParams(n, gamma_t)
+        evolved = evolve_fock_diagonal(spats_weights(bar_n), channel, step_tol=1e-11)
+        axis = np.linspace(-default_extent(bar_n, n), default_extent(bar_n, n), 41)
+        qq, pp = np.meshgrid(axis, axis, indexing="ij")
+        series = eval_fock_diagonal_wigner(qq, pp, evolved)
+        closed = eval_spats_wigner_evolved(qq, pp, channel, bar_n)
+        assert np.max(np.abs(series - closed)) < 1e-9
+
 
 class TestQFunction:
     def test_vacuum_origin(self):
@@ -199,7 +228,7 @@ class TestQFunction:
     def test_thermal_closed_form_oracle(self, n_mean):
         # independent closed form: Q_thermal = exp(-r^2/(1+n)) / (pi (1+n))
         q, p = RANDOM_POINTS.T
-        series = eval_q_function(q, p, thermal_weights(n_mean, tail_tol=1e-12))
+        series = eval_q_function(q, p, thermal_weights(n_mean))
         r2 = q * q + p * p
         closed = np.exp(-r2 / (1.0 + n_mean)) / (math.pi * (1.0 + n_mean))
         assert np.max(np.abs(series - closed)) < 1e-12
@@ -218,7 +247,7 @@ EVALUATORS = [
     lambda q, p: eval_thermal_wigner(q, p, 0.7),
     lambda q, p: eval_spats_wigner_initial(q, p, 1.0),
     lambda q, p: eval_spats_wigner_evolved(q, p, ChannelParams(0.5, 0.3), 1.0),
-    lambda q, p: eval_fock_wigner(q, p, 3),
+    lambda q, p: eval_fock_diagonal_wigner(q, p, fock(3)),
     lambda q, p: eval_fock_diagonal_wigner(q, p, spats_weights(0.5)),
     lambda q, p: eval_q_function(q, p, spats_weights(0.5)),
 ]
