@@ -5,9 +5,10 @@ of the drift-diffusion (Fokker-Planck) equation
     dW/d(gamma*t) = (1/2)(d_q q + d_p p) W + ((2n+1)/8) (d_q^2 + d_p^2) W.
 
 The convolution quadrature has fixed settings, given in
-:func:`convolve_evolve`.  The equation is integrated by one scheme,
-Strang-split Crank-Nicolson on a uniform grid.  Both routes serve as oracles
-for closed-form results and for each other.
+:func:`convolve_evolve`.  The equation is discretized in space by conservative
+finite differences on the input's uniform grid and solved exactly in time, by
+one matrix exponential per axis.  Both routes serve as oracles for closed-form
+results and for each other.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import solve_banded
+from scipy.linalg import expm
 
 from .errors import NonConvergenceError
 from .states import ChannelParams
@@ -96,11 +97,10 @@ def convolve_evolve(initial: Callable, channel: ChannelParams, q: float, p: floa
 
 @dataclass(frozen=True)
 class FokkerPlanckSpec:
-    """Finite-difference control; grid geometry comes from the input grid.
+    """Finite-difference time control; it sets nothing.
 
-    The scheme is always Strang-split Crank-Nicolson, which is stable for any
-    step.  ``dt = None`` takes the explicit stability bound 0.25*dq^2/D as the
-    step, which is also a good accuracy choice for the implicit scheme.
+    :func:`fokker_planck_evolve` solves exactly in time and takes no step, so
+    it accepts ``FokkerPlanckSpec()`` and rejects a given ``dt``.
     """
 
     dt: float | None = None
@@ -113,68 +113,30 @@ class FokkerPlanckSpec:
 def fd_stability_limit(dx: float, n: float) -> float:
     """Explicit-step bound dt <= 0.25 dx^2 / D with D = (2n+1)/8 in gamma-t units.
 
-    :func:`fokker_planck_evolve` uses it as its default step.
+    No library routine uses it: :func:`fokker_planck_evolve` takes no time
+    step.
     """
     return 0.25 * dx * dx / ((2.0 * n + 1.0) / 8.0)
 
 
-def _axis_operator(axis: np.ndarray, diffusion: float):
+def _axis_operator(axis: np.ndarray, diffusion: float) -> np.ndarray:
     """Tridiagonal conservative discretization of d/dx[(x/2) W + D dW/dx].
 
-    Returns (lower, diagonal, upper) coefficient arrays; boundary rows are
-    zero (Dirichlet).  Fluxes use centered averages at the half points, so
-    interior mass changes only through the edge fluxes.
+    Returns the dense matrix; its boundary rows are zero (Dirichlet).  Fluxes
+    use centered averages at the half points, so interior mass changes only
+    through the edge fluxes.
     """
     size = axis.size
     h = axis[1] - axis[0]
     half = (axis[:-1] + axis[1:]) / 2.0
-    lower = np.zeros(size)
-    diag = np.zeros(size)
-    upper = np.zeros(size)
+    op = np.zeros((size, size))
+    rows = np.arange(1, size - 1)
     # dW_i/dt = (J_{i+1/2} - J_{i-1/2}) / h with
     # J_{i+1/2} = (x_{i+1/2}/4)(W_i + W_{i+1}) + D (W_{i+1} - W_i)/h
-    upper[1:-1] = (half[1:] / 4.0 + diffusion / h) / h
-    diag[1:-1] = (half[1:] / 4.0 - half[:-1] / 4.0 - 2.0 * diffusion / h) / h
-    lower[1:-1] = (-half[:-1] / 4.0 + diffusion / h) / h
-    return lower, diag, upper
-
-
-def _apply_operator(values: np.ndarray, op, axis: int) -> np.ndarray:
-    lower, diag, upper = op
-    moved = np.moveaxis(values, axis, 0)
-    out = np.zeros_like(moved)
-    out[1:-1] = (
-        lower[1:-1, None] * moved[:-2]
-        + diag[1:-1, None] * moved[1:-1]
-        + upper[1:-1, None] * moved[2:]
-    )
-    return np.moveaxis(out, 0, axis)
-
-
-def _crank_nicolson_matrix(op, step: float) -> np.ndarray:
-    """Banded (I - step/2 * A) for solve_banded, Dirichlet rows pinned."""
-    lower, diag, upper = op
-    size = diag.size
-    ab = np.zeros((3, size))
-    ab[0, 1:] = -0.5 * step * upper[:-1]
-    ab[1, :] = 1.0 - 0.5 * step * diag
-    ab[2, :-1] = -0.5 * step * lower[1:]
-    ab[1, 0] = ab[1, -1] = 1.0
-    ab[0, 1] = 0.0
-    ab[2, -2] = 0.0
-    return ab
-
-
-def _cn_sweep(values: np.ndarray, op, matrix: np.ndarray, step: float, axis: int) -> np.ndarray:
-    """One Crank-Nicolson substep along ``axis``."""
-    rhs = values + 0.5 * step * _apply_operator(values, op, axis)
-    moved = np.moveaxis(rhs, axis, 0).copy()
-    moved[0] = 0.0
-    moved[-1] = 0.0
-    # The per-step check in fokker_planck_evolve reports a non-finite solution
-    # with its step index, so the solve does not check its input.
-    solved = solve_banded((1, 1), matrix, moved, check_finite=False)
-    return np.moveaxis(solved, 0, axis)
+    op[rows, rows + 1] = (half[1:] / 4.0 + diffusion / h) / h
+    op[rows, rows] = (half[1:] / 4.0 - half[:-1] / 4.0 - 2.0 * diffusion / h) / h
+    op[rows, rows - 1] = (-half[:-1] / 4.0 + diffusion / h) / h
+    return op
 
 
 def fokker_planck_evolve(
@@ -182,55 +144,56 @@ def fokker_planck_evolve(
     channel: ChannelParams,
     spec: FokkerPlanckSpec | None = None,
 ) -> WignerGrid:
-    """Integrate the drift-diffusion equation from 0 to ``channel.gamma_t``.
+    """Evolve the grid by the drift-diffusion equation from 0 to ``channel.gamma_t``.
 
-    Each step splits the two directions (Strang) and treats each 1-D
-    advection-diffusion operator with Crank-Nicolson tridiagonal solves, so
-    the scheme is unconditionally stable.  The boundary is Dirichlet zero; the
-    mass crossing it is logged and expected to stay below 1e-4 on a properly
-    sized grid.
+    The equation is discretized in space only, by a conservative
+    finite-difference operator A per axis, and the semi-discrete system is
+    solved exactly in time.  The two axis operators commute, so the solution
+    is  W(gamma_t) = E_q W_0 E_p^T  with  E = expm(gamma_t * A), computed once
+    per distinct axis by scaling and squaring; no time step is taken.  The
+    boundary is Dirichlet zero: the input's edge rows and columns are zeroed.
+    The mass crossing the boundary is logged and expected to stay below 1e-4
+    on a properly sized grid.
 
     Raises
     ------
+    ValueError
+        If ``spec`` gives a time step ``dt``; there is no step to set.
     NonConvergenceError
-        If the solution stops being finite, including from a non-finite
-        input grid (with the index of the step that produced it).
+        If the input grid holds non-finite values (with their count,
+        ``non_finite_points``); it is the only way the result can be
+        non-finite.
     """
-    if spec is None:
-        spec = FokkerPlanckSpec()
+    if spec is not None and spec.dt is not None:
+        raise ValueError(
+            f"fokker_planck_evolve integrates exactly in time and takes no step; "
+            f"remove FokkerPlanckSpec(dt={spec.dt})"
+        )
     gamma_t = channel.gamma_t
     if gamma_t == 0.0:
         return initial
 
-    diffusion = (2.0 * channel.n + 1.0) / 8.0
-    dt = spec.dt
-    if dt is None:
-        dt = fd_stability_limit(min(initial.dq, initial.dp), channel.n)
-    n_steps = max(1, math.ceil(gamma_t / dt))
-    dt = gamma_t / n_steps
+    non_finite = int(np.count_nonzero(~np.isfinite(initial.values)))
+    if non_finite:
+        raise NonConvergenceError(
+            "finite-difference input grid is not finite", non_finite_points=non_finite
+        )
 
-    op_q = _axis_operator(initial.q_axis, diffusion)
-    op_p = _axis_operator(initial.p_axis, diffusion)
-    cn_q_half = _crank_nicolson_matrix(op_q, dt / 2.0)
-    cn_p_full = _crank_nicolson_matrix(op_p, dt)
+    diffusion = (2.0 * channel.n + 1.0) / 8.0
+    q_axis, p_axis = initial.q_axis, initial.p_axis
+    exp_q = expm(gamma_t * _axis_operator(q_axis, diffusion))
+    if np.array_equal(p_axis, q_axis):
+        exp_p = exp_q
+    else:
+        exp_p = expm(gamma_t * _axis_operator(p_axis, diffusion))
 
     values = initial.values.copy()
-    mass_before = initial.trapezoid_integral()
-    for step_index in range(n_steps):
-        values = _cn_sweep(values, op_q, cn_q_half, dt / 2.0, axis=0)
-        values = _cn_sweep(values, op_p, cn_p_full, dt, axis=1)
-        values = _cn_sweep(values, op_q, cn_q_half, dt / 2.0, axis=0)
-        if not np.all(np.isfinite(values)):
-            raise NonConvergenceError(
-                "finite-difference solution became non-finite", step_index=step_index
-            )
-
-    result = initial.with_values(values)
-    drift = result.trapezoid_integral() - mass_before
+    values[[0, -1], :] = 0.0
+    values[:, [0, -1]] = 0.0
+    result = initial.with_values(exp_q @ values @ exp_p.T)
+    drift = result.trapezoid_integral() - initial.trapezoid_integral()
     logger.info(
-        "fokker_planck_evolve: %d steps of dt=%.3e, mass drift %.3e (bound %.0e)",
-        n_steps,
-        dt,
+        "fokker_planck_evolve: exact exponential, mass drift %.3e (bound %.0e)",
         drift,
         EDGE_MASS_LOSS_BOUND,
     )

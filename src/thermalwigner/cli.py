@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import FokkerPlanckSpec, convolve_evolve, fokker_planck_evolve
+from .channel import convolve_evolve, fokker_planck_evolve
 from .errors import NonConvergenceError
 from .negativity import pnw_radial, pnw_spats_analytic
 from .states import ChannelParams, evolve_fock_diagonal, random_zero_vacuum_state, spats_weights
@@ -297,7 +297,7 @@ def _verify_oracles(_seed: int) -> tuple[list[dict], bool]:
     rows.append({"check": "closed-vs-convolution", "linf": conv_err})
 
     grid0 = sample_grid(initial, -6.0, 6.0, -6.0, 6.0, 241, 241)
-    fd = fokker_planck_evolve(grid0, channel, FokkerPlanckSpec())
+    fd = fokker_planck_evolve(grid0, channel)
     qq, pp = np.meshgrid(fd.q_axis, fd.p_axis, indexing="ij")
     exact = closed(qq, pp)
     rows.append({"check": "closed-vs-fokker-planck", "linf": float(np.max(np.abs(fd.values - exact)))})

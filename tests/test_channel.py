@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thermalwigner import channel as channel_module
 from thermalwigner import (
@@ -15,6 +17,7 @@ from thermalwigner import (
     fd_stability_limit,
     fokker_planck_evolve,
     sample_grid,
+    threshold_spats,
 )
 
 
@@ -119,12 +122,33 @@ class TestFokkerPlanckEvolve:
         exact = eval_thermal_wigner(qq, pp, math.exp(-1.0))
         assert np.max(np.abs(out.values - exact)) < 1e-3
 
-    def test_adi_accepts_large_steps(self):
-        grid = self.make_grid(points=121)
-        limit = fd_stability_limit(grid.dq, 0.5)
-        spec = FokkerPlanckSpec(dt=10.0 * limit)
-        out = fokker_planck_evolve(grid, ChannelParams(0.5, 0.3), spec)
-        assert np.all(np.isfinite(out.values))
+    def test_semigroup(self):
+        # exact in time: evolving 0.2 then 0.3 is evolving 0.5
+        grid = self.make_grid(bar_n=0.5, extent=8.0)
+        twice = fokker_planck_evolve(
+            fokker_planck_evolve(grid, ChannelParams(1.0, 0.2)), ChannelParams(1.0, 0.3)
+        )
+        once = fokker_planck_evolve(grid, ChannelParams(1.0, 0.5))
+        assert np.max(np.abs(twice.values - once.values)) < 1e-12
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        bar_n=st.floats(0.0, 1.0),
+        n=st.floats(0.0, 2.0),
+        fraction=st.floats(0.0, 1.2),
+    )
+    @example(bar_n=0.0, n=0.0, fraction=1.0)
+    @example(bar_n=1.0, n=2.0, fraction=5.0 / threshold_spats(2.0))
+    def test_matches_closed_form_over_parameter_box(self, bar_n, n, fraction):
+        # gamma_t in [0, 1.2 gamma_t_c], plus one case at gamma_t = 5.  Time is
+        # exact, so the error is the second-order spatial one: it peaks at
+        # 0.48 dq^2 (1.2e-3 here) in the first example, bar_n = n = 0 at
+        # gamma_t_c, and falls 4x per halving of dq there.
+        channel = ChannelParams(n, fraction * threshold_spats(n))
+        out = fokker_planck_evolve(self.make_grid(bar_n), channel)
+        qq, pp = np.meshgrid(out.q_axis, out.p_axis, indexing="ij")
+        exact = eval_spats_wigner_evolved(qq, pp, channel, bar_n)
+        assert np.max(np.abs(out.values - exact)) < 0.5 * out.dq**2
 
     def test_mass_conserved_over_unit_decay_time(self):
         grid = self.make_grid(extent=8.0, points=201)
@@ -137,9 +161,7 @@ class TestFokkerPlanckEvolve:
         out = fokker_planck_evolve(grid, ChannelParams(0.5, 0.3))
         assert abs(out.trapezoid_integral() - grid.trapezoid_integral()) < 1e-4
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_input_detected_with_step_index(self):
-        # The solver's per-step check, not the linear solve, reports either poison.
+    def test_non_finite_input_reports_point_count(self):
         grid = self.make_grid(points=41)
         for poison in (np.inf, np.nan):
             poisoned = grid.with_values(
@@ -147,7 +169,12 @@ class TestFokkerPlanckEvolve:
             )
             with pytest.raises(NonConvergenceError) as excinfo:
                 fokker_planck_evolve(poisoned, ChannelParams(0.5, 0.1))
-            assert excinfo.value.diagnostics["step_index"] == 0
+            assert excinfo.value.diagnostics["non_finite_points"] == 41
+
+    def test_given_time_step_rejected(self):
+        grid = self.make_grid(points=41)
+        with pytest.raises(ValueError, match="takes no step"):
+            fokker_planck_evolve(grid, ChannelParams(0.5, 0.1), FokkerPlanckSpec(dt=0.01))
 
 
 class TestOracleCrossAgreement:

@@ -224,6 +224,21 @@ class TestQFunction:
             state = spats_weights(float(seed) / 2.0)
             assert np.all(eval_q_function(q, p, state) >= 0.0)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        bar_n=st.floats(0.0, 3.0),
+        n=st.floats(0.0, 2.0),
+        gamma_t=st.floats(0.0, 1.5),
+    )
+    def test_evolved_q_is_a_normalized_density(self, bar_n, n, gamma_t):
+        evolved = evolve_fock_diagonal(spats_weights(bar_n), ChannelParams(n, gamma_t))
+        extent = default_extent(bar_n, n)
+        grid = sample_grid(
+            lambda q, p: eval_q_function(q, p, evolved), -extent, extent, -extent, extent, 201, 201
+        )
+        assert np.all(grid.values >= 0.0)
+        assert abs(grid.trapezoid_integral() - 1.0) < 1e-6
+
     @pytest.mark.parametrize("n_mean", [0.0, 0.5, 2.0])
     def test_thermal_closed_form_oracle(self, n_mean):
         # independent closed form: Q_thermal = exp(-r^2/(1+n)) / (pi (1+n))
