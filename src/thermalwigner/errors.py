@@ -4,10 +4,13 @@ from __future__ import annotations
 
 
 class NonConvergenceError(RuntimeError):
-    """A quadrature, ODE, or refinement loop failed to reach its tolerance.
+    """A numerical routine failed to reach its tolerance or met bad input.
 
-    Carries a ``diagnostics`` dict (last estimates, step index, grid size, ...)
-    so callers can report the failure precisely.
+    Raised by quadrature that does not converge, by a bisection bracket that
+    misses its root, and by a non-finite Fokker-Planck input grid.  Carries a
+    ``diagnostics`` dict (last estimates, tolerance, final resolution or
+    order, count of non-finite points, ...) so callers can report the
+    failure precisely.
     """
 
     def __init__(self, message: str, **diagnostics):

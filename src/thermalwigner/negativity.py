@@ -25,12 +25,8 @@ from .states import ChannelParams
 from .wigner import evolved_coefficients
 
 _RADIAL_SCAN_POINTS = 4097
-_SPLIT_DEPTH = 6
 # resolution doublings of pnw_numeric before it gives up
 _MAX_REFINEMENTS = 4
-# corner offsets of a square cell, in units of half its side
-_CORNER_Q = np.array([-1.0, -1.0, 1.0, 1.0])
-_CORNER_P = np.array([-1.0, 1.0, -1.0, 1.0])
 
 _METHODS = ("analytic", "quadrature")
 
@@ -169,51 +165,13 @@ def pnw_radial(profile: Callable, r_max: float, abs_tol: float = 1e-6) -> Negati
     return NegativityResult(volume=abs(total), region_radius=region_radius, method="quadrature")
 
 
-def _refine_cells(evaluator: Callable, cq: np.ndarray, cp: np.ndarray, size: float) -> float:
-    """Signed negative-part integral over square cells of side ``size`` centered at (cq, cp).
-
-    Runs one level at a time.  A cell whose center and four corners are all
-    negative contributes its center value times its area, one with no
-    negative value contributes nothing, and a mixed one is replaced by its
-    four quarters at the next level.  After ``_SPLIT_DEPTH`` levels a cell
-    contributes its center value when that is negative.
-    """
-    total = 0.0
-    for _ in range(_SPLIT_DEPTH):
-        if cq.size == 0:
-            return total
-        center = _checked(evaluator(cq, cp), cq.shape)
-        h = size / 2.0
-        corner_q = cq[:, None] + h * _CORNER_Q
-        corners = _checked(evaluator(corner_q, cp[:, None] + h * _CORNER_P), corner_q.shape)
-        negative = np.column_stack((center, corners)) < 0.0
-        all_negative = negative.all(axis=1)
-        total += float(center[all_negative].sum()) * size * size
-        mixed = negative.any(axis=1) & ~all_negative
-        quarter = size / 4.0
-        cq = (cq[mixed, None] + quarter * _CORNER_Q).ravel()
-        cp = (cp[mixed, None] + quarter * _CORNER_P).ravel()
-        size = h
-    center = _checked(evaluator(cq, cp), cq.shape)
-    return total + float(center[center < 0.0].sum()) * size * size
-
-
 def _masked_cell_sum(evaluator: Callable, extent: float, resolution: int) -> float:
-    """Midpoint-rule integral over {W < 0}, with the cells at the nodal curve refined."""
+    """Midpoint-rule integral of W over the cell centers where W < 0, in absolute value."""
     h = 2.0 * extent / resolution
     centers = -extent + h * (np.arange(resolution) + 0.5)
     qq, pp = np.meshgrid(centers, centers, indexing="ij")
     values = _checked(evaluator(qq, pp), qq.shape)
-
-    negative = values < 0.0
-    straddle = np.zeros_like(negative)
-    straddle[:-1, :] |= negative[:-1, :] != negative[1:, :]
-    straddle[1:, :] |= negative[1:, :] != negative[:-1, :]
-    straddle[:, :-1] |= negative[:, :-1] != negative[:, 1:]
-    straddle[:, 1:] |= negative[:, 1:] != negative[:, :-1]
-
-    total = float(values[negative & ~straddle].sum()) * h * h
-    return abs(total + _refine_cells(evaluator, qq[straddle], pp[straddle], h))
+    return abs(float(values[values < 0.0].sum()) * h * h)
 
 
 def pnw_numeric(
@@ -225,12 +183,11 @@ def pnw_numeric(
     """Negativity volume of a Gaussian-tailed Wigner evaluator on [-extent, extent]^2.
 
     ``evaluator(q, p)`` must broadcast over numpy arrays; it may have any
-    symmetry (use :func:`pnw_radial` for a rotationally symmetric one).  A
-    cell-center sign-masked midpoint rule is refined by resolution doubling,
-    at most 4 times, until two estimates agree to ``abs_tol``.  Cells
-    straddling the nodal curve are split into quarters, one level at a time,
-    with one evaluator call per level for all live centers and one for their
-    corners.
+    symmetry (use :func:`pnw_radial` for a rotationally symmetric one).  The
+    plain midpoint rule sums W over the cell centers where W < 0, one
+    evaluator call per resolution.  The resolution is doubled, at most 4
+    times, until the last three estimates agree to ``abs_tol``; the newest
+    is returned.
 
     Raises
     ------
@@ -244,17 +201,22 @@ def pnw_numeric(
     _check_domain("extent", extent, abs_tol)
     if base_resolution < 2:
         raise ValueError(f"base_resolution must be >= 2, got {base_resolution}")
-    previous = estimate = None
+    # The masked rule's error comes from the kink at the nodal curve and
+    # oscillates with where the curve falls in the cells, so it is not
+    # monotone in the resolution: two estimates can agree by chance while
+    # both are off by more than abs_tol.  A third estimate guards against it.
+    estimates = []
     resolution = base_resolution
     for _ in range(_MAX_REFINEMENTS + 1):
-        previous, estimate = estimate, _masked_cell_sum(evaluator, extent, resolution)
-        if previous is not None and abs(estimate - previous) < abs_tol:
-            return NegativityResult(volume=estimate, region_radius=None, method="quadrature")
+        estimates.append(_masked_cell_sum(evaluator, extent, resolution))
+        last_three = estimates[-3:]
+        if len(last_three) == 3 and max(last_three) - min(last_three) < abs_tol:
+            return NegativityResult(volume=estimates[-1], region_radius=None, method="quadrature")
         resolution *= 2
     raise NonConvergenceError(
         "sign-masked quadrature did not converge",
-        last=estimate,
-        previous=previous,
+        last=estimates[-1],
+        previous=estimates[-2],
         abs_tol=abs_tol,
         final_resolution=resolution // 2,
     )

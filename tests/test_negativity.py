@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -10,6 +12,7 @@ from thermalwigner import (
     FockDiagonalState,
     NegativityResult,
     NonConvergenceError,
+    default_extent,
     eval_fock_diagonal_wigner,
     eval_spats_wigner_evolved,
     eval_spats_wigner_initial,
@@ -29,9 +32,9 @@ GOLDEN_SINGLE_PHOTON = 2.0 * math.exp(-0.5) - 1.0  # 0.2130613...
 GOLDEN_FOCK_TWO = 0.3644946288935669
 
 # pnw_numeric of the single photon displaced by 0.7 along q (base resolution
-# 101, abs_tol 1e-4), frozen from the earlier cell-by-cell recursive
-# refinement; the level-at-a-time loop sums the same cells in another order
-DISPLACED_PHOTON_VOLUME = 0.21307246292141477
+# 101, abs_tol 1e-4), frozen from the plain sign-masked midpoint rule; it is
+# 3.3e-6 from GOLDEN_SINGLE_PHOTON
+DISPLACED_PHOTON_VOLUME = 0.21305805937059896
 
 
 def radial_quadrature_oracle(profile, r_lo, r_hi):
@@ -187,8 +190,58 @@ class TestNumericVolume:
         )
         assert result.method == "quadrature"
         assert result.region_radius is None
-        assert result.volume == pytest.approx(GOLDEN_SINGLE_PHOTON, abs=1e-4)
+        assert result.volume == pytest.approx(GOLDEN_SINGLE_PHOTON, abs=1e-5)
         assert result.volume == pytest.approx(DISPLACED_PHOTON_VOLUME, abs=1e-12)
+
+    def test_displaced_fock_two_annulus(self):
+        # a non-SPATS state whose negative region is an annulus, off center
+        two_photons = FockDiagonalState([0.0, 0.0, 1.0])
+        result = pnw_numeric(
+            lambda q, p: eval_fock_diagonal_wigner(q - 0.3, p + 0.45, two_photons),
+            extent=7.0,
+            base_resolution=101,
+            abs_tol=1e-4,
+        )
+        assert result.volume == pytest.approx(GOLDEN_FOCK_TWO, abs=1e-5)
+
+    def test_agreement_by_chance_not_accepted(self):
+        # at 201 and 402 cells per axis the estimates agree within 1.7e-7 but
+        # both are 3.2e-6 from the closed form; a two-estimate stop returns one
+        channel = ChannelParams(1.646504036072063, 0.03289705695883825)
+        bar_n = 0.5630248207035564
+        expected = pnw_spats_analytic(channel, bar_n).volume
+        try:
+            result = pnw_numeric(
+                lambda q, p: eval_spats_wigner_evolved(
+                    q + 0.09119090409834311, p - 0.061890677751726186, channel, bar_n
+                ),
+                extent=10.469997697370399,
+            )
+        except NonConvergenceError:
+            return
+        assert result.volume == pytest.approx(expected, abs=1e-6)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        bar_n=st.floats(0.0, 3.0),
+        n=st.floats(0.0, 2.0),
+        share=st.floats(0.0, 0.95),
+        length=st.floats(0.0, 1.5),
+        angle=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_displaced_spats_matches_closed_form(self, bar_n, n, share, length, angle):
+        # displacement moves the nodal curve across the cells but leaves the
+        # volume unchanged; a NonConvergenceError fails the property
+        channel = ChannelParams(n, share * threshold_spats(n))
+        a, b = length * math.cos(angle), length * math.sin(angle)
+        result = pnw_numeric(
+            lambda q, p: eval_spats_wigner_evolved(q - a, p - b, channel, bar_n),
+            extent=default_extent(bar_n, n) + length,
+            base_resolution=101,
+            abs_tol=1e-4,
+        )
+        expected = pnw_spats_analytic(channel, bar_n).volume
+        assert abs(result.volume - expected) < 1e-4
 
     def test_angular_perturbation_is_not_taken_for_radial(self):
         # sin(4 theta) agrees at 0, 90 and 225 degrees, so a symmetry probe at
@@ -199,7 +252,8 @@ class TestNumericVolume:
             return eval_spats_wigner_initial(q, p, 0.0) + angular
 
         result = pnw_numeric(perturbed, extent=6.0, base_resolution=101, abs_tol=1e-4)
-        assert result.volume == pytest.approx(0.2719, abs=1e-3)
+        # the rule converges to 0.2719307 at 3232 and 6464 cells per axis
+        assert result.volume == pytest.approx(0.27193, abs=1e-4)
 
     def test_cartesian_non_convergence_carries_estimates(self):
         with pytest.raises(NonConvergenceError) as excinfo:
