@@ -8,7 +8,8 @@ The convolution quadrature has fixed settings, given in
 :func:`convolve_evolve`.  The equation is discretized in space by conservative
 finite differences on the input's uniform grid and solved exactly in time, by
 one matrix exponential per axis.  Both routes serve as oracles for closed-form
-results and for each other.
+results and for each other.  Only the equation's route needs scipy: it imports
+``scipy.linalg`` on first use.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import expm
 
 from .errors import NonConvergenceError
 from .states import ChannelParams
@@ -153,7 +153,7 @@ def fokker_planck_evolve(
     per distinct axis by scaling and squaring; no time step is taken.  The
     boundary is Dirichlet zero: the input's edge rows and columns are zeroed.
     The mass crossing the boundary is logged and expected to stay below 1e-4
-    on a properly sized grid.
+    on a properly sized grid.  ``scipy.linalg`` is imported on first use.
 
     Raises
     ------
@@ -164,6 +164,8 @@ def fokker_planck_evolve(
         ``non_finite_points``); it is the only way the result can be
         non-finite.
     """
+    from scipy.linalg import expm
+
     if spec is not None and spec.dt is not None:
         raise ValueError(
             f"fokker_planck_evolve integrates exactly in time and takes no step; "

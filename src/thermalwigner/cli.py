@@ -38,6 +38,7 @@ from .threshold import (
 )
 from .wigner import (
     DEFAULT_GRID_POINTS,
+    _spats_evolved_evaluator,
     default_extent,
     eval_fock_diagonal_wigner,
     eval_spats_wigner_evolved,
@@ -234,8 +235,9 @@ def cmd_pnw_curve(args) -> int:
             channel = ChannelParams(args.n, float(gamma_t))
             analytic[i, j] = pnw_spats_analytic(channel, bar_n).volume
             if args.with_numeric:
+                evaluate = _spats_evolved_evaluator(channel, bar_n)
                 numeric[i, j] = pnw_radial(
-                    lambda r: eval_spats_wigner_evolved(r, 0.0, channel, bar_n),
+                    lambda r: evaluate(r, 0.0),
                     default_extent(bar_n, args.n),
                     abs_tol=1e-8,
                 ).volume

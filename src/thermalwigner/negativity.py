@@ -7,7 +7,8 @@ the numeric path: :func:`pnw_radial` integrates a radial profile W(r) in one
 dimension (every state of this library is Fock-diagonal and so radial), and
 :func:`pnw_numeric` integrates any evaluator W(q, p) over the plane.  Both
 call their evaluator on numpy arrays and reject a result that does not
-broadcast.
+broadcast.  Only :func:`pnw_radial` needs scipy: it imports ``scipy.integrate``
+and ``scipy.optimize`` on first use.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import NonConvergenceError
 from .states import ChannelParams
@@ -114,13 +113,17 @@ def pnw_radial(profile: Callable, r_max: float, abs_tol: float = 1e-6) -> Negati
     on an array of radii, over which it must broadcast, and then on single
     radii.  Sign changes on that scan of [0, ``r_max``] are refined to the
     radii that bound the negative annuli, and each annulus is integrated as
-    2 pi r W(r) by adaptive quadrature.
+    2 pi r W(r) by adaptive quadrature.  ``scipy.integrate`` and
+    ``scipy.optimize`` are imported on first use.
 
     Raises
     ------
     NonConvergenceError
         When the summed quadrature error estimates exceed ``abs_tol``.
     """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
     _check_domain("r_max", r_max, abs_tol)
     radii = np.linspace(0.0, r_max, _RADIAL_SCAN_POINTS)
     values = _checked(profile(radii), radii.shape)

@@ -86,11 +86,23 @@ def eval_spats_wigner_evolved(q, p, channel: ChannelParams, bar_n: float):
     * exp((zeta - 2 e^(gt) r^2)/xi); at gamma_t = 0 it reduces pointwise to
     :func:`eval_spats_wigner_initial`.
     """
+    return _spats_evolved_evaluator(channel, bar_n)(q, p)
+
+
+def _spats_evolved_evaluator(channel: ChannelParams, bar_n: float) -> Callable:
+    """The (q, p) evaluator of :func:`eval_spats_wigner_evolved`, coefficients computed once."""
     c = evolved_coefficients(channel, bar_n)
     u = math.exp(channel.gamma_t)
-    r2 = np.square(q) + np.square(p)
-    amp = (c.kappa + 8.0 * (1.0 + bar_n) * u * r2) / (math.pi * c.xi**3)
-    return amp * np.exp((c.zeta - 2.0 * u * r2) / c.xi)
+    # hoisted in Python's left-to-right order, so they round as they would inline
+    slope = 8.0 * (1.0 + bar_n) * u
+    norm = math.pi * c.xi**3
+
+    def evaluate(q, p):
+        r2 = np.square(q) + np.square(p)
+        amp = (c.kappa + slope * r2) / norm
+        return amp * np.exp((c.zeta - 2.0 * u * r2) / c.xi)
+
+    return evaluate
 
 
 def _laguerre_series(x, coefficients: np.ndarray):
