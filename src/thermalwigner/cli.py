@@ -5,6 +5,10 @@ run the verification suites.  Every output file carries the full parameter
 set: CSV files get a ``<name>.meta.json`` sidecar, JSONL files start with a
 header object.  Identical invocations produce byte-identical output.
 
+The ``threshold`` and ``verify`` headers record their fixed tolerances under
+``tolerances``.  ``verify --seed`` applies to the theorem suite only; the
+other suites draw nothing at random and reject it as a usage error.
+
 Grids and curves are written column by column (:func:`_table_text`): CSV
 values are ``%.17g``, JSONL values are json's own float encoding, and each
 distinct value of a column is formatted once.
@@ -29,6 +33,7 @@ from .errors import NonConvergenceError
 from .negativity import pnw_radial, pnw_spats_analytic
 from .states import ChannelParams, evolve_fock_diagonal, random_zero_vacuum_state, spats_weights
 from .threshold import (
+    BISECTION_TOL,
     TOL_MIN,
     TOL_ORIGIN,
     TOL_Q,
@@ -52,9 +57,8 @@ EXIT_IO = 2
 EXIT_NUMERICAL = 3
 EXIT_USAGE = 64
 
-VERIFY_SUITES = ("oracles", "theorem", "thresholds")
-
 _ORACLE_TOLS = {"convolution": 1e-8, "fokker-planck": 1e-3, "fock-basis": 1e-6}
+_THEOREM_TOLS = {"tol_origin": TOL_ORIGIN, "tol_min": TOL_MIN, "tol_q": TOL_Q}
 _THRESHOLD_RESIDUAL_TOL = 1e-8
 
 
@@ -237,9 +241,7 @@ def cmd_pnw_curve(args) -> int:
             if args.with_numeric:
                 evaluate = _spats_evolved_evaluator(channel, bar_n)
                 numeric[i, j] = pnw_radial(
-                    lambda r: evaluate(r, 0.0),
-                    default_extent(bar_n, args.n),
-                    abs_tol=1e-8,
+                    lambda r: evaluate(r, 0.0), default_extent(bar_n, args.n)
                 ).volume
     parameters = {
         "bar_n": list(args.bar_n),
@@ -262,22 +264,22 @@ def cmd_pnw_curve(args) -> int:
     return EXIT_OK
 
 
+def _threshold_row(n: float, bar_n: float) -> dict:
+    return {"n": n, "bar_n": bar_n, **threshold_numeric_spats(n, bar_n).to_json_dict()}
+
+
 def cmd_threshold(args) -> int:
-    records = [
-        _header_record(
-            "threshold-report",
-            {"n": list(args.n), "bar_n": list(args.bar_n), "tol": args.tol},
-        )
-    ]
-    for n in args.n:
-        for bar_n in args.bar_n:
-            report = threshold_numeric_spats(n, bar_n, tol=args.tol)
-            records.append({"n": n, "bar_n": bar_n, **report.to_json_dict()})
-    _write_text(args.out, _jsonl_text(records))
+    header = _header_record(
+        "threshold-report",
+        {"n": list(args.n), "bar_n": list(args.bar_n)},
+        tolerances={"bisection_half_width": BISECTION_TOL},
+    )
+    rows = [_threshold_row(n, bar_n) for n in args.n for bar_n in args.bar_n]
+    _write_text(args.out, _jsonl_text([header, *rows]))
     return EXIT_OK
 
 
-def _verify_oracles(_seed: int) -> tuple[list[dict], bool]:
+def _verify_oracles() -> tuple[list[dict], bool]:
     """Four-route agreement for the SPATS bar_n=1 in the n=0.5 channel at gt=0.3."""
     bar_n, n, gamma_t = 1.0, 0.5, 0.3
     channel = ChannelParams(n, gamma_t)
@@ -288,33 +290,30 @@ def _verify_oracles(_seed: int) -> tuple[list[dict], bool]:
     def initial(q, p):
         return eval_spats_wigner_initial(q, p, bar_n)
 
-    rows = []
+    linf = {}  # per route: max |W - closed form|
 
     axis = np.linspace(-5.0, 5.0, 11)
-    conv_err = max(
+    linf["convolution"] = max(
         abs(convolve_evolve(initial, channel, q, p) - float(closed(q, p)))
         for q in axis
         for p in axis
     )
-    rows.append({"check": "closed-vs-convolution", "linf": conv_err})
 
     grid0 = sample_grid(initial, -6.0, 6.0, -6.0, 6.0, 241, 241)
     fd = fokker_planck_evolve(grid0, channel)
     qq, pp = np.meshgrid(fd.q_axis, fd.p_axis, indexing="ij")
     exact = closed(qq, pp)
-    rows.append({"check": "closed-vs-fokker-planck", "linf": float(np.max(np.abs(fd.values - exact)))})
+    linf["fokker-planck"] = float(np.max(np.abs(fd.values - exact)))
 
     evolved = evolve_fock_diagonal(spats_weights(bar_n), channel, step_tol=1e-11)
     fock = eval_fock_diagonal_wigner(qq, pp, evolved)
-    rows.append({"check": "closed-vs-fock-basis", "linf": float(np.max(np.abs(fock - exact)))})
+    linf["fock-basis"] = float(np.max(np.abs(fock - exact)))
 
-    tols = (_ORACLE_TOLS["convolution"], _ORACLE_TOLS["fokker-planck"], _ORACLE_TOLS["fock-basis"])
-    all_passed = True
-    for row, tol in zip(rows, tols):
-        row["tol"] = tol
-        row["passed"] = row["linf"] < tol
-        all_passed &= row["passed"]
-    return rows, all_passed
+    rows = []
+    for route, err in linf.items():
+        tol = _ORACLE_TOLS[route]
+        rows.append({"check": f"closed-vs-{route}", "linf": err, "tol": tol, "passed": err < tol})
+    return rows, all(row["passed"] for row in rows)
 
 
 def _verify_theorem(seed: int) -> tuple[list[dict], bool]:
@@ -335,20 +334,18 @@ def _verify_theorem(seed: int) -> tuple[list[dict], bool]:
     return rows, all_passed
 
 
-def _verify_thresholds(_seed: int) -> tuple[list[dict], bool]:
+def _verify_thresholds() -> tuple[list[dict], bool]:
     """Numeric thresholds match the law and are independent of the seed bar_n."""
     rows = []
     all_passed = True
     for n in (0.0, 0.5, 1.0, 2.0):
         numeric = []
         for bar_n in (0.0, 3.0 / 7.0, 1.0, 10.0):
-            report = threshold_numeric_spats(n, bar_n, tol=1e-10)
-            passed = report.residual < _THRESHOLD_RESIDUAL_TOL
-            rows.append(
-                {"n": n, "bar_n": bar_n, **report.to_json_dict(), "passed": passed}
-            )
-            numeric.append(report.gamma_t_c_numeric)
-            all_passed &= passed
+            row = _threshold_row(n, bar_n)
+            row["passed"] = row["residual"] < _THRESHOLD_RESIDUAL_TOL
+            rows.append(row)
+            numeric.append(row["gamma_t_c_numeric"])
+            all_passed &= row["passed"]
         spread = max(numeric) - min(numeric)
         spread_ok = spread < _THRESHOLD_RESIDUAL_TOL
         rows.append({"n": n, "check": "bar-n-independence", "spread": spread, "passed": spread_ok})
@@ -356,32 +353,26 @@ def _verify_thresholds(_seed: int) -> tuple[list[dict], bool]:
     return rows, all_passed
 
 
-_VERIFY_RUNNERS = {
-    "oracles": _verify_oracles,
-    "theorem": _verify_theorem,
-    "thresholds": _verify_thresholds,
-}
-
-_SUITE_TOLERANCES = {
-    "oracles": _ORACLE_TOLS,
-    "theorem": {"tol_origin": TOL_ORIGIN, "tol_min": TOL_MIN, "tol_q": TOL_Q},
-    "thresholds": {"residual": _THRESHOLD_RESIDUAL_TOL},
+# suite -> (runner, tolerances its header records, whether the runner takes --seed)
+VERIFY_SUITES = {
+    "oracles": (_verify_oracles, _ORACLE_TOLS, False),
+    "theorem": (_verify_theorem, _THEOREM_TOLS, True),
+    "thresholds": (_verify_thresholds, {"residual": _THRESHOLD_RESIDUAL_TOL}, False),
 }
 
 
 def cmd_verify(args) -> int:
-    runner = _VERIFY_RUNNERS[args.suite]
-    rows, all_passed = runner(args.seed)
-    tolerances = _SUITE_TOLERANCES[args.suite]
-    records = [
-        _header_record(
-            "verify-report",
-            {"suite": args.suite, "seed": args.seed},
-            tolerances=tolerances,
-        )
-    ]
-    records += rows
-    _write_text(args.out, _jsonl_text(records))
+    runner, tolerances, seeded = VERIFY_SUITES[args.suite]
+    parameters = {"suite": args.suite}
+    if seeded:
+        parameters["seed"] = 1 if args.seed is None else args.seed
+        rows, all_passed = runner(parameters["seed"])
+    elif args.seed is not None:
+        raise ValueError(f"suite {args.suite!r} draws nothing at random and takes no --seed")
+    else:
+        rows, all_passed = runner()
+    header = _header_record("verify-report", parameters, tolerances=tolerances)
+    _write_text(args.out, _jsonl_text([header, *rows]))
     if not all_passed:
         failing = [r for r in rows if not r.get("passed", True)]
         print(
@@ -428,13 +419,12 @@ def build_parser() -> _Parser:
     thr = sub.add_parser("threshold", help="analytic vs bisection threshold decay times")
     thr.add_argument("--n", type=float, nargs="+", default=[0.0, 0.5, 1.0, 2.0])
     thr.add_argument("--bar-n", type=float, nargs="+", default=[1.0])
-    thr.add_argument("--tol", type=float, default=1e-10, help="bisection half-width")
     thr.add_argument("--out", default=None, help="output file (default: stdout)")
     thr.set_defaults(func=cmd_threshold)
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("--suite", choices=VERIFY_SUITES, required=True)
-    ver.add_argument("--seed", type=int, default=1)
+    ver.add_argument("--seed", type=int, default=None, help="theorem suite only (default 1)")
     ver.add_argument("--out", default=None, help="JSONL report (default: stdout)")
     ver.set_defaults(func=cmd_verify)
 

@@ -24,6 +24,8 @@ from .states import ChannelParams
 from .wigner import evolved_coefficients
 
 _RADIAL_SCAN_POINTS = 4097
+# largest summed quadrature error estimate pnw_radial accepts
+RADIAL_ABS_TOL = 1e-8
 # resolution doublings of pnw_numeric before it gives up
 _MAX_REFINEMENTS = 4
 
@@ -58,10 +60,14 @@ def negative_region_radius_spats(channel: ChannelParams, bar_n: float) -> float 
     The bracket of the closed form changes sign at r^2 = -kappa e^(-gt) /
     (8 (1+nbar)); returns ``None`` once kappa >= 0 (no negative region).
     """
-    c = evolved_coefficients(channel, bar_n)
-    if c.kappa >= 0.0:
+    kappa = evolved_coefficients(channel, bar_n).kappa
+    return _negative_disk_radius(kappa, channel.gamma_t, bar_n)
+
+
+def _negative_disk_radius(kappa: float, gamma_t: float, bar_n: float) -> float | None:
+    if kappa >= 0.0:
         return None
-    r2 = -c.kappa * math.exp(-channel.gamma_t) / (8.0 * (1.0 + bar_n))
+    r2 = -kappa * math.exp(-gamma_t) / (8.0 * (1.0 + bar_n))
     return math.sqrt(r2)
 
 
@@ -74,7 +80,7 @@ def pnw_spats_analytic(channel: ChannelParams, bar_n: float) -> NegativityResult
     zeta = gt * xi.
     """
     c = evolved_coefficients(channel, bar_n)
-    radius = negative_region_radius_spats(channel, bar_n)
+    radius = _negative_disk_radius(c.kappa, channel.gamma_t, bar_n)
     if radius is None:
         return NegativityResult(volume=0.0, region_radius=None, method="analytic")
     exponent = c.kappa / (4.0 * (1.0 + bar_n) * c.xi)
@@ -98,14 +104,12 @@ def _checked(values, shape: tuple) -> np.ndarray:
     return values
 
 
-def _check_domain(name: str, extent: float, abs_tol: float) -> None:
+def _check_extent(name: str, extent: float) -> None:
     if not (math.isfinite(extent) and extent > 0.0):
         raise ValueError(f"{name} must be finite and > 0, got {extent}")
-    if not abs_tol > 0.0:
-        raise ValueError(f"abs_tol must be > 0, got {abs_tol}")
 
 
-def pnw_radial(profile: Callable, r_max: float, abs_tol: float = 1e-6) -> NegativityResult:
+def pnw_radial(profile: Callable, r_max: float) -> NegativityResult:
     """Negativity volume of a rotationally symmetric Wigner function.
 
     ``profile(r)`` is W along the q axis, W(r, 0); being a function of r
@@ -113,18 +117,20 @@ def pnw_radial(profile: Callable, r_max: float, abs_tol: float = 1e-6) -> Negati
     on an array of radii, over which it must broadcast, and then on single
     radii.  Sign changes on that scan of [0, ``r_max``] are refined to the
     radii that bound the negative annuli, and each annulus is integrated as
-    2 pi r W(r) by adaptive quadrature.  ``scipy.integrate`` and
-    ``scipy.optimize`` are imported on first use.
+    2 pi r W(r) by adaptive quadrature to 1e-10, absolute and relative.  The
+    tolerance on the summed error estimates is the constant
+    ``RADIAL_ABS_TOL`` = 1e-8.  ``scipy.integrate`` and ``scipy.optimize``
+    are imported on first use.
 
     Raises
     ------
     NonConvergenceError
-        When the summed quadrature error estimates exceed ``abs_tol``.
+        When the summed quadrature error estimates exceed ``RADIAL_ABS_TOL``.
     """
     from scipy.integrate import quad
     from scipy.optimize import brentq
 
-    _check_domain("r_max", r_max, abs_tol)
+    _check_extent("r_max", r_max)
     radii = np.linspace(0.0, r_max, _RADIAL_SCAN_POINTS)
     values = _checked(profile(radii), radii.shape)
 
@@ -145,7 +151,7 @@ def pnw_radial(profile: Callable, r_max: float, abs_tol: float = 1e-6) -> Negati
             lambda r: 2.0 * math.pi * r * w(r),
             a,
             b,
-            epsabs=min(abs_tol * 1e-2, 1e-10),
+            epsabs=1e-10,
             epsrel=1e-10,
             limit=200,
         )
@@ -155,11 +161,11 @@ def pnw_radial(profile: Callable, r_max: float, abs_tol: float = 1e-6) -> Negati
 
     if not negative_segments:
         return NegativityResult(volume=0.0, region_radius=None, method="quadrature")
-    if quad_error > abs_tol:
+    if quad_error > RADIAL_ABS_TOL:
         raise NonConvergenceError(
             "radial quadrature error above tolerance",
             error_estimate=quad_error,
-            abs_tol=abs_tol,
+            abs_tol=RADIAL_ABS_TOL,
             estimate=abs(total),
         )
     region_radius = None
@@ -201,7 +207,9 @@ def pnw_numeric(
         When 4 doublings do not reach ``abs_tol``; the last two estimates ride
         along in the diagnostics.
     """
-    _check_domain("extent", extent, abs_tol)
+    _check_extent("extent", extent)
+    if not abs_tol > 0.0:
+        raise ValueError(f"abs_tol must be > 0, got {abs_tol}")
     if base_resolution < 2:
         raise ValueError(f"base_resolution must be >= 2, got {base_resolution}")
     # The masked rule's error comes from the kink at the nodal curve and

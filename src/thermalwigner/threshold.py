@@ -32,8 +32,10 @@ from .states import (
 )
 from .wigner import eval_fock_diagonal_wigner, eval_q_function, eval_spats_wigner_evolved
 
-_BISECTION_MAX_ITER = 60
 _BRACKET_HIGH = 2.0
+# Half-width at which threshold_numeric_spats stops bisecting: 34 halvings
+# of [0, _BRACKET_HIGH].
+BISECTION_TOL = 1e-10
 
 # Settings of verify_zero_vacuum_theorem, the same for every caller.
 STEP_TOL = 1e-12  # tail mass the Fock channel map may drop
@@ -114,12 +116,8 @@ def threshold_general(gamma_tc_loss: float, n: float) -> float:
     return math.log((math.exp(gamma_tc_loss) + 2.0 * n) / (1.0 + 2.0 * n))
 
 
-def threshold_numeric_spats(
-    n: float,
-    bar_n: float,
-    tol: float = 1e-10,
-) -> ThresholdReport:
-    """Locate the threshold decay time by bisection on [0, 2].
+def threshold_numeric_spats(n: float, bar_n: float) -> ThresholdReport:
+    """Locate the threshold decay time by bisection on [0, 2] to ``BISECTION_TOL``.
 
     Bisects the sign of the evolved Wigner value at the origin, which is the
     sign of kappa, a monotone switch on the bracket for every tested
@@ -132,8 +130,6 @@ def threshold_numeric_spats(
     NonConvergenceError
         If the bracket does not straddle the switch.
     """
-    if not (1e-12 <= tol <= 1e-3):
-        raise ValueError(f"tol must be in [1e-12, 1e-3], got {tol}")
 
     def still_negative(gt: float) -> bool:
         return float(eval_spats_wigner_evolved(0.0, 0.0, ChannelParams(n, gt), bar_n)) < 0.0
@@ -146,9 +142,7 @@ def threshold_numeric_spats(
             n=n,
             bar_n=bar_n,
         )
-    for _ in range(_BISECTION_MAX_ITER):
-        if (hi - lo) / 2.0 < tol:
-            break
+    while (hi - lo) / 2.0 >= BISECTION_TOL:
         mid = (lo + hi) / 2.0
         if still_negative(mid):
             lo = mid

@@ -167,7 +167,7 @@ def test_criterion_5_threshold_law():
     for n in (0.0, 0.5, 1.0, 2.0):
         roots = []
         for bar_n in (0.0, 3.0 / 7.0, 1.0, 10.0):
-            rep = threshold_numeric_spats(n, bar_n, tol=1e-10)
+            rep = threshold_numeric_spats(n, bar_n)
             law_residual = max(law_residual, rep.residual)
             roots.append(rep.gamma_t_c_numeric)
         spread = max(spread, max(roots) - min(roots))

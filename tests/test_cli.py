@@ -210,6 +210,12 @@ class TestThresholdCommand:
         assert json.loads(lines[0])["kind"] == "threshold-report"
         assert json.loads(lines[1])["residual"] < 1e-8
 
+    def test_header_records_the_fixed_bisection_tolerance(self, capsys):
+        assert main(["threshold", "--n", "0.5", "--bar-n", "1"]) == EXIT_OK
+        header = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert header["parameters"] == {"n": [0.5], "bar_n": [1.0]}
+        assert header["tolerances"] == {"bisection_half_width": 1e-10}
+
     def test_reports_match_the_law(self, tmp_path):
         out = tmp_path / "thresholds.jsonl"
         code = main(["threshold", "--n", "0", "0.5", "--bar-n", "0", "1", "--out", str(out)])
@@ -228,7 +234,7 @@ class TestVerifyCommand:
         code = main(["verify", "--suite", "thresholds", "--out", str(out)])
         assert code == EXIT_OK
         records = [json.loads(line) for line in out.read_text().splitlines()]
-        assert records[0]["parameters"]["suite"] == "thresholds"
+        assert records[0]["parameters"] == {"suite": "thresholds"}  # no seed
         assert all(r["passed"] for r in records[1:])
 
     def test_oracles_suite_passes(self, tmp_path):
@@ -236,10 +242,43 @@ class TestVerifyCommand:
         code = main(["verify", "--suite", "oracles", "--out", str(out)])
         assert code == EXIT_OK
         records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert records[0]["parameters"] == {"suite": "oracles"}  # no seed
         checks = {r["check"]: r for r in records[1:]}
         assert checks["closed-vs-convolution"]["linf"] < 1e-8
         assert checks["closed-vs-fokker-planck"]["linf"] < 1e-3
         assert checks["closed-vs-fock-basis"]["linf"] < 1e-6
+        assert {name: row["tol"] for name, row in checks.items()} == {
+            "closed-vs-convolution": 1e-8,
+            "closed-vs-fokker-planck": 1e-3,
+            "closed-vs-fock-basis": 1e-6,
+        }
+
+    def test_theorem_seed_draws_other_states(self, tmp_path):
+        rows = {}
+        for seed in (1, 2):
+            out = tmp_path / f"theorem-{seed}.jsonl"
+            argv = ["verify", "--suite", "theorem", "--seed", str(seed), "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            header, *rows[seed] = [json.loads(line) for line in out.read_text().splitlines()]
+            assert header["parameters"] == {"suite": "theorem", "seed": seed}
+        assert rows[1] != rows[2]
+        assert rows[2][0]["seed"] == 2
+
+    def test_theorem_seed_defaults_to_one(self, capsys):
+        assert main(["verify", "--suite", "theorem"]) == EXIT_OK
+        header = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert header["parameters"] == {"suite": "theorem", "seed": 1}
+
+    @pytest.mark.parametrize("suite", ["oracles", "thresholds"])
+    def test_seed_rejected_where_it_has_no_effect(self, suite, tmp_path, capsys):
+        out = tmp_path / "report.jsonl"
+        argv = ["verify", "--suite", suite, "--seed", "2", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("thermal-wigner verify: error: ")
+        assert "--seed" in err
+        assert err.count("\n") == 1  # one line, no traceback
+        assert not out.exists()
 
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -256,10 +295,13 @@ class TestVerifyCommand:
     def test_failure_exits_one_and_serializes_the_case(self, tmp_path, monkeypatch, capsys):
         import thermalwigner.cli as cli_module
 
-        def failing_runner(_seed):
+        def failing_runner():
             return [{"check": "synthetic-regression", "passed": False}], False
 
-        monkeypatch.setitem(cli_module._VERIFY_RUNNERS, "thresholds", failing_runner)
+        _, tolerances, seeded = cli_module.VERIFY_SUITES["thresholds"]
+        monkeypatch.setitem(
+            cli_module.VERIFY_SUITES, "thresholds", (failing_runner, tolerances, seeded)
+        )
         out = tmp_path / "report.jsonl"
         code = main(["verify", "--suite", "thresholds", "--out", str(out)])
         assert code == EXIT_VERIFY_FAILED
@@ -273,7 +315,6 @@ class TestVerifyCommand:
     [
         ["threshold", "--n", "-1"],
         ["pnw-curve", "--n", "nan"],
-        ["threshold", "--tol", "0"],
     ],
 )
 def test_invalid_parameter_is_usage_error(argv, capsys):
