@@ -48,9 +48,9 @@ def convolve_evolve(initial: Callable, channel: ChannelParams, q: float, p: floa
 
     Computes  e^(gt) * integral of W_T(x, y) * initial((q - sqrt(1-e^(-gt)) x)
     / sqrt(e^(-gt)), ...) dx dy  over the truncated kernel support, where W_T
-    is the thermal Wigner function of the bath.  ``initial`` must accept
-    broadcasting numpy arrays.  At gamma_t = 0 the integral is bypassed and
-    the initial evaluator is returned directly.
+    is the thermal Wigner function of the bath.  ``initial`` gets a column of
+    q nodes and a row of p nodes and must return their broadcast shape.  At
+    gamma_t = 0 the integral is bypassed and ``initial(q, p)`` is returned.
 
     The kernel integral is truncated at 6 standard deviations of the bath
     kernel.  The Gauss-Legendre order starts at 16 and doubles until two
@@ -77,9 +77,9 @@ def convolve_evolve(initial: Callable, channel: ChannelParams, q: float, p: floa
         nodes, weights = _gauss_legendre(order)
         x = nodes * radius
         w = weights * radius
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        kern = eval_thermal_wigner(xx, yy, channel.n)
-        shifted = initial((q - root_mix * xx) / root_decay, (p - root_mix * yy) / root_decay)
+        col, row = x[:, None], x[None, :]
+        kern = eval_thermal_wigner(col, row, channel.n)
+        shifted = initial((q - root_mix * col) / root_decay, (p - root_mix * row) / root_decay)
         estimate = prefactor * float(np.einsum("i,j,ij->", w, w, kern * shifted))
         if previous is not None and abs(estimate - previous) < _ABS_TOL:
             return estimate

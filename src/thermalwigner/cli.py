@@ -59,7 +59,7 @@ EXIT_USAGE = 64
 
 _ORACLE_TOLS = {"convolution": 1e-8, "fokker-planck": 1e-3, "fock-basis": 1e-6}
 _THEOREM_TOLS = {"tol_origin": TOL_ORIGIN, "tol_min": TOL_MIN, "tol_q": TOL_Q}
-_THRESHOLD_RESIDUAL_TOL = 1e-8
+_THRESHOLD_TOLS = {"residual": 1e-8, "bisection_half_width": BISECTION_TOL}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -283,9 +283,7 @@ def _verify_oracles() -> tuple[list[dict], bool]:
     """Four-route agreement for the SPATS bar_n=1 in the n=0.5 channel at gt=0.3."""
     bar_n, n, gamma_t = 1.0, 0.5, 0.3
     channel = ChannelParams(n, gamma_t)
-
-    def closed(q, p):
-        return eval_spats_wigner_evolved(q, p, channel, bar_n)
+    closed = _spats_evolved_evaluator(channel, bar_n)
 
     def initial(q, p):
         return eval_spats_wigner_initial(q, p, bar_n)
@@ -301,12 +299,12 @@ def _verify_oracles() -> tuple[list[dict], bool]:
 
     grid0 = sample_grid(initial, -6.0, 6.0, -6.0, 6.0, 241, 241)
     fd = fokker_planck_evolve(grid0, channel)
-    qq, pp = np.meshgrid(fd.q_axis, fd.p_axis, indexing="ij")
-    exact = closed(qq, pp)
+    col, row = fd.q_axis[:, None], fd.p_axis[None, :]
+    exact = closed(col, row)
     linf["fokker-planck"] = float(np.max(np.abs(fd.values - exact)))
 
     evolved = evolve_fock_diagonal(spats_weights(bar_n), channel, step_tol=1e-11)
-    fock = eval_fock_diagonal_wigner(qq, pp, evolved)
+    fock = eval_fock_diagonal_wigner(col, row, evolved)
     linf["fock-basis"] = float(np.max(np.abs(fock - exact)))
 
     rows = []
@@ -342,12 +340,12 @@ def _verify_thresholds() -> tuple[list[dict], bool]:
         numeric = []
         for bar_n in (0.0, 3.0 / 7.0, 1.0, 10.0):
             row = _threshold_row(n, bar_n)
-            row["passed"] = row["residual"] < _THRESHOLD_RESIDUAL_TOL
+            row["passed"] = row["residual"] < _THRESHOLD_TOLS["residual"]
             rows.append(row)
             numeric.append(row["gamma_t_c_numeric"])
             all_passed &= row["passed"]
         spread = max(numeric) - min(numeric)
-        spread_ok = spread < _THRESHOLD_RESIDUAL_TOL
+        spread_ok = spread < _THRESHOLD_TOLS["residual"]
         rows.append({"n": n, "check": "bar-n-independence", "spread": spread, "passed": spread_ok})
         all_passed &= spread_ok
     return rows, all_passed
@@ -357,7 +355,7 @@ def _verify_thresholds() -> tuple[list[dict], bool]:
 VERIFY_SUITES = {
     "oracles": (_verify_oracles, _ORACLE_TOLS, False),
     "theorem": (_verify_theorem, _THEOREM_TOLS, True),
-    "thresholds": (_verify_thresholds, {"residual": _THRESHOLD_RESIDUAL_TOL}, False),
+    "thresholds": (_verify_thresholds, _THRESHOLD_TOLS, False),
 }
 
 

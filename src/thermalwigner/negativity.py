@@ -94,11 +94,11 @@ def pnw_spats_analytic(channel: ChannelParams, bar_n: float) -> NegativityResult
 
 
 def _checked(values, shape: tuple) -> np.ndarray:
-    """Evaluator output as a float array, which must have the shape of its input."""
+    """Evaluator output as a float array, which must have the broadcast shape of its inputs."""
     values = np.asarray(values, dtype=float)
     if values.shape != shape:
         raise ValueError(
-            f"evaluator returned shape {values.shape} for input of shape {shape}; "
+            f"evaluator returned shape {values.shape} where its inputs broadcast to {shape}; "
             "evaluators must broadcast over numpy arrays"
         )
     return values
@@ -175,11 +175,13 @@ def pnw_radial(profile: Callable, r_max: float) -> NegativityResult:
 
 
 def _masked_cell_sum(evaluator: Callable, extent: float, resolution: int) -> float:
-    """Midpoint-rule integral of W over the cell centers where W < 0, in absolute value."""
+    """Midpoint-rule integral of W over the cell centers where W < 0, in absolute value.
+
+    W gets the centers as a q column and a p row and must return their broadcast shape.
+    """
     h = 2.0 * extent / resolution
     centers = -extent + h * (np.arange(resolution) + 0.5)
-    qq, pp = np.meshgrid(centers, centers, indexing="ij")
-    values = _checked(evaluator(qq, pp), qq.shape)
+    values = _checked(evaluator(centers[:, None], centers[None, :]), (resolution, resolution))
     return abs(float(values[values < 0.0].sum()) * h * h)
 
 
@@ -191,18 +193,18 @@ def pnw_numeric(
 ) -> NegativityResult:
     """Negativity volume of a Gaussian-tailed Wigner evaluator on [-extent, extent]^2.
 
-    ``evaluator(q, p)`` must broadcast over numpy arrays; it may have any
-    symmetry (use :func:`pnw_radial` for a rotationally symmetric one).  The
-    plain midpoint rule sums W over the cell centers where W < 0, one
-    evaluator call per resolution.  The resolution is doubled, at most 4
-    times, until the last three estimates agree to ``abs_tol``; the newest
-    is returned.
+    ``evaluator(q, p)`` gets, once per resolution r, a column of q values of
+    shape (r, 1) and a row of p values of shape (1, r), and must return their
+    broadcast shape (r, r); it may have any symmetry (use :func:`pnw_radial`
+    for a radial one).  The plain midpoint rule sums W over the cell centers
+    where W < 0.  The resolution is doubled, at most 4 times, until the last
+    three estimates agree to ``abs_tol``; the newest is returned.
 
     Raises
     ------
     ValueError
-        For a non-positive ``extent`` or ``abs_tol``, or a ``base_resolution``
-        below 2.
+        For a non-positive ``extent`` or ``abs_tol``, a ``base_resolution``
+        below 2, or an evaluator result not of the broadcast shape.
     NonConvergenceError
         When 4 doublings do not reach ``abs_tol``; the last two estimates ride
         along in the diagnostics.

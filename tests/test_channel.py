@@ -39,6 +39,30 @@ class TestConvolveEvolve:
         expected = float(eval_spats_wigner_evolved(q, p, channel, 1.0))
         assert abs(value - expected) < 1e-8
 
+    @pytest.mark.parametrize(
+        "q,p,expected",
+        [
+            (0.0, 0.0, -0.01885216233736762),
+            (0.7, -0.4, 0.0623928874221453),
+            (2.0, 1.5, 0.01177698063743519),
+        ],
+    )
+    def test_values_frozen_bitwise(self, q, p, expected):
+        # frozen from the quadrature on meshgrid node planes; a column and a
+        # row of nodes run every element through the same operations
+        assert convolve_evolve(spats_initial(1.0), ChannelParams(0.5, 0.3), q, p) == expected
+
+    def test_initial_gets_a_column_and_a_row_of_nodes(self):
+        shapes = []
+
+        def recording(q, p):
+            shapes.append((q.shape, p.shape))
+            return eval_spats_wigner_initial(q, p, 1.0)
+
+        convolve_evolve(recording, ChannelParams(0.5, 0.3), 0.7, -0.4)
+        assert len(shapes) >= 2
+        assert shapes == [((k, 1), (1, k)) for k in (16 * 2**i for i in range(len(shapes)))]
+
     @pytest.mark.parametrize("bar_n,n,gamma_t", [(1.0, 0.0, 0.5), (0.3, 0.5, 0.2), (2.0, 1.0, 1.0)])
     def test_thermal_input_stays_thermal(self, bar_n, n, gamma_t):
         # Gaussian-convolution oracle: mean photon number n + (nbar - n) e^(-gt)

@@ -216,6 +216,14 @@ class TestThresholdCommand:
         assert header["parameters"] == {"n": [0.5], "bar_n": [1.0]}
         assert header["tolerances"] == {"bisection_half_width": 1e-10}
 
+    def test_thresholds_suite_header_records_the_same_bisection_tolerance(self, capsys):
+        assert main(["verify", "--suite", "thresholds"]) == EXIT_OK
+        header, *rows = capsys.readouterr().out.splitlines(keepends=True)
+        assert json.loads(header)["tolerances"] == {"residual": 1e-8, "bisection_half_width": 1e-10}
+        # recording the half-width changes the header only; the rows' bytes are pinned
+        digest = hashlib.sha256("".join(rows).encode()).hexdigest()
+        assert digest == "4575e8274718c610190997f09fbda50470ed94f92a4ca4e85fb77db827c6bccb"
+
     def test_reports_match_the_law(self, tmp_path):
         out = tmp_path / "thresholds.jsonl"
         code = main(["threshold", "--n", "0", "0.5", "--bar-n", "0", "1", "--out", str(out)])

@@ -24,6 +24,7 @@ from thermalwigner import (
     pnw_spats_analytic,
     threshold_spats,
 )
+from thermalwigner.negativity import _masked_cell_sum
 
 GOLDEN_SINGLE_PHOTON = 2.0 * math.exp(-0.5) - 1.0  # 0.2130613...
 
@@ -297,6 +298,56 @@ class TestNumericVolume:
             pnw_numeric(scalar_math, extent=6.0)
         with pytest.raises(TypeError):
             pnw_radial(lambda r: scalar_math(r, 0.0), 6.0)
+
+
+def meshgrid_midpoint_sum(evaluator, extent, resolution):
+    """The masked midpoint rule evaluated on full meshgrid coordinate planes."""
+    h = 2.0 * extent / resolution
+    centers = -extent + h * (np.arange(resolution) + 0.5)
+    qq, pp = np.meshgrid(centers, centers, indexing="ij")
+    values = evaluator(qq, pp)
+    return abs(float(values[values < 0.0].sum()) * h * h)
+
+
+class TestColumnAndRowEvaluation:
+    def test_evaluator_gets_a_column_and_a_row_once_per_resolution(self):
+        shapes = []
+
+        def recording(q, p):
+            shapes.append((q.shape, p.shape))
+            return eval_spats_wigner_initial(q - 0.7, p, 0.0)
+
+        pnw_numeric(recording, extent=6.0, base_resolution=101, abs_tol=1e-4)
+        assert len(shapes) >= 3
+        assert shapes == [((r, 1), (1, r)) for r in (101 * 2**k for k in range(len(shapes)))]
+
+    def test_result_of_the_column_shape_rejected(self):
+        # an evaluator that ignores p returns (r, 1); one column must not be integrated
+        with pytest.raises(ValueError, match="broadcast"):
+            pnw_numeric(lambda q, p: np.exp(-q * q) - 0.1, extent=6.0)
+
+    @pytest.mark.parametrize("resolution", [101, 202])
+    @pytest.mark.parametrize(
+        "evaluator, extent",
+        [
+            (
+                lambda q, p: eval_spats_wigner_evolved(
+                    q - 0.4, p + 0.3, ChannelParams(0.5, 0.2), 1.0
+                ),
+                default_extent(1.0, 0.5) + 0.5,
+            ),
+            (
+                lambda q, p: eval_fock_diagonal_wigner(
+                    q - 0.3, p + 0.45, FockDiagonalState([0.0, 0.0, 1.0])
+                ),
+                7.0,
+            ),
+        ],
+        ids=["displaced-spats", "displaced-fock-two"],
+    )
+    def test_cell_sum_is_bitwise_the_meshgrid_sum(self, evaluator, extent, resolution):
+        expected = meshgrid_midpoint_sum(evaluator, extent, resolution)
+        assert _masked_cell_sum(evaluator, extent, resolution) == expected
 
 
 class TestDecayBehaviour:
