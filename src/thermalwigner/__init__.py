@@ -16,7 +16,6 @@ from .channel import (
 from .errors import NonConvergenceError
 from .negativity import (
     NegativityResult,
-    negative_region_radius_spats,
     pnw_numeric,
     pnw_radial,
     pnw_spats_analytic,
@@ -76,7 +75,6 @@ __all__ = [
     "fd_stability_limit",
     "fokker_planck_evolve",
     "mean_photon",
-    "negative_region_radius_spats",
     "pnw_numeric",
     "pnw_radial",
     "pnw_spats_analytic",

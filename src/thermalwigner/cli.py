@@ -46,7 +46,6 @@ from .wigner import (
     _spats_evolved_evaluator,
     default_extent,
     eval_fock_diagonal_wigner,
-    eval_spats_wigner_evolved,
     eval_spats_wigner_initial,
     sample_grid,
 )
@@ -184,9 +183,8 @@ def cmd_wigner_grid(args) -> int:
     extent = args.extent if args.extent is not None else default_extent(args.bar_n, args.n)
     count = len(args.gamma_t)
     for index, gamma_t in enumerate(args.gamma_t):
-        channel = ChannelParams(args.n, gamma_t)
         grid = sample_grid(
-            lambda q, p: eval_spats_wigner_evolved(q, p, channel, args.bar_n),
+            _spats_evolved_evaluator(ChannelParams(args.n, gamma_t), args.bar_n),
             -extent,
             extent,
             -extent,
@@ -222,7 +220,7 @@ def cmd_wigner_grid(args) -> int:
                 "w_min": float(grid.values.min()),
                 "w_max": float(grid.values.max()),
                 "trapezoid_integral": grid.trapezoid_integral(),
-                "cell_area": grid.cell_area,
+                "cell_area": grid.dq * grid.dp,
             },
         )
     return EXIT_OK

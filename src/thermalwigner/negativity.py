@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NonConvergenceError
 from .states import ChannelParams
-from .wigner import evolved_coefficients
+from .wigner import _checked, evolved_coefficients
 
 _RADIAL_SCAN_POINTS = 4097
 # largest summed quadrature error estimate pnw_radial accepts
@@ -54,35 +54,18 @@ class NegativityResult:
             raise ValueError("region_radius must be positive when present")
 
 
-def negative_region_radius_spats(channel: ChannelParams, bar_n: float) -> float | None:
-    """Radius of the negative disk of the evolved SPATS Wigner function.
-
-    The bracket of the closed form changes sign at r^2 = -kappa e^(-gt) /
-    (8 (1+nbar)); returns ``None`` once kappa >= 0 (no negative region).
-    """
-    kappa = evolved_coefficients(channel, bar_n).kappa
-    return _negative_disk_radius(kappa, channel.gamma_t, bar_n)
-
-
-def _negative_disk_radius(kappa: float, gamma_t: float, bar_n: float) -> float | None:
-    if kappa >= 0.0:
-        return None
-    r2 = -kappa * math.exp(-gamma_t) / (8.0 * (1.0 + bar_n))
-    return math.sqrt(r2)
-
-
 def pnw_spats_analytic(channel: ChannelParams, bar_n: float) -> NegativityResult:
     """Closed-form negativity volume of the evolved SPATS.
 
-    Evaluates -[kappa/(2 xi) + 2(1+nbar)(1 - e^(kappa/(4(1+nbar) xi)))] / xi
-    while the negative disk exists, and 0 beyond the threshold decay time.
-    The printed form's extra factor e^(-gt) e^(zeta/xi) is one, since
-    zeta = gt * xi.
+    While kappa < 0 the negative region is the disk on which the bracket of
+    the closed form is negative, of radius sqrt(-kappa e^(-gt) / (8 (1+nbar))),
+    and the volume is -[kappa/(2 xi) + 2(1+nbar)(1 - e^(kappa/(4(1+nbar) xi)))] / xi.
+    From the threshold decay time on, kappa >= 0 and the volume is 0.
     """
     c = evolved_coefficients(channel, bar_n)
-    radius = _negative_disk_radius(c.kappa, channel.gamma_t, bar_n)
-    if radius is None:
+    if c.kappa >= 0.0:
         return NegativityResult(volume=0.0, region_radius=None, method="analytic")
+    radius = math.sqrt(-c.kappa * math.exp(-channel.gamma_t) / (8.0 * (1.0 + bar_n)))
     exponent = c.kappa / (4.0 * (1.0 + bar_n) * c.xi)
     # The printed bracket kappa/(2 xi) + 2(1+nbar)(1 - e^A) with
     # A = kappa/(4(1+nbar) xi) equals -2(1+nbar)(expm1(A) - A) exactly; the
@@ -91,17 +74,6 @@ def pnw_spats_analytic(channel: ChannelParams, bar_n: float) -> NegativityResult
     bracket = -2.0 * (1.0 + bar_n) * (math.expm1(exponent) - exponent)
     volume = -bracket / c.xi
     return NegativityResult(volume=volume, region_radius=radius, method="analytic")
-
-
-def _checked(values, shape: tuple) -> np.ndarray:
-    """Evaluator output as a float array, which must have the broadcast shape of its inputs."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != shape:
-        raise ValueError(
-            f"evaluator returned shape {values.shape} where its inputs broadcast to {shape}; "
-            "evaluators must broadcast over numpy arrays"
-        )
-    return values
 
 
 def _check_extent(name: str, extent: float) -> None:
@@ -137,7 +109,10 @@ def pnw_radial(profile: Callable, r_max: float) -> NegativityResult:
     def w(r: float) -> float:
         return float(profile(r))
 
-    crossings = np.flatnonzero(values[:-1] * values[1:] < 0.0)
+    # a root on a scan node leaves a zero there, which no product of neighbours
+    # makes negative; a change of sign class keeps it (brentq accepts a zero endpoint)
+    negative = values < 0.0
+    crossings = np.flatnonzero(negative[:-1] != negative[1:])
     roots = [brentq(w, radii[i], radii[i + 1]) for i in crossings]
     edges = [0.0, *roots, r_max]
 

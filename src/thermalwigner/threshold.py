@@ -18,7 +18,7 @@ vacuum population (C. T. Lee, Phys. Rev. A 44, R2775 (1991)).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -59,14 +59,17 @@ class ThresholdReport:
 
     gamma_t_c_analytic: float
     gamma_t_c_numeric: float
-    residual: float
 
     def __post_init__(self):
         if self.gamma_t_c_analytic < 0.0 or self.gamma_t_c_numeric < 0.0:
             raise ValueError("threshold decay times must be >= 0")
 
+    @property
+    def residual(self) -> float:
+        return abs(self.gamma_t_c_analytic - self.gamma_t_c_numeric)
+
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "method": self.method}
+        return {**asdict(self), "residual": self.residual, "method": self.method}
 
 
 @dataclass(frozen=True)
@@ -76,21 +79,30 @@ class TheoremReport:
     ``min_w_at_threshold`` is the minimum over the radial lattice, and
     ``q_identity_residual`` the largest deviation on it from the identity
     W_{gamma_t_c}(r) = e^(gamma_t_c) * Q_0(e^(gamma_t_c/2) * r), which holds
-    at every n (Lee 1991).  ``state_family`` records that only Fock-diagonal
-    representatives are sampled; states with coherences are outside this
-    check.
+    at every n (Lee 1991).  ``passed`` holds when the three measured numbers
+    are within ``TOL_ORIGIN``, ``TOL_MIN`` and ``TOL_Q``.  ``state_family``
+    records that only Fock-diagonal representatives are sampled; states with
+    coherences are outside this check.
     """
+
+    state_family: ClassVar[str] = "fock-diagonal"
 
     state_id: str
     n: float
     w_origin_at_threshold: float
     min_w_at_threshold: float
     q_identity_residual: float
-    passed: bool
-    state_family: str = field(default="fock-diagonal")
+
+    @property
+    def passed(self) -> bool:
+        return (
+            abs(self.w_origin_at_threshold) < TOL_ORIGIN
+            and self.min_w_at_threshold > -TOL_MIN
+            and self.q_identity_residual < TOL_Q
+        )
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "passed": self.passed, "state_family": self.state_family}
 
 
 def threshold_spats(n: float) -> float:
@@ -148,12 +160,8 @@ def threshold_numeric_spats(n: float, bar_n: float) -> ThresholdReport:
             lo = mid
         else:
             hi = mid
-    numeric = (lo + hi) / 2.0
-    analytic = threshold_spats(n)
     return ThresholdReport(
-        gamma_t_c_analytic=analytic,
-        gamma_t_c_numeric=numeric,
-        residual=abs(analytic - numeric),
+        gamma_t_c_analytic=threshold_spats(n), gamma_t_c_numeric=(lo + hi) / 2.0
     )
 
 
@@ -184,16 +192,10 @@ def verify_zero_vacuum_theorem(
     radii = np.linspace(0.0, RADIAL_EXTENT, RADIAL_POINTS)
     w = eval_fock_diagonal_wigner(radii, 0.0, evolved)
     q0 = eval_q_function(math.exp(gamma_t_c / 2.0) * radii, 0.0, state)
-    w_origin = float(w[0])
-    min_w = float(w.min())
-    q_residual = float(np.max(np.abs(w - math.exp(gamma_t_c) * q0)))
-
-    passed = abs(w_origin) < TOL_ORIGIN and min_w > -TOL_MIN and q_residual < TOL_Q
     return TheoremReport(
         state_id=state_id,
         n=n,
-        w_origin_at_threshold=w_origin,
-        min_w_at_threshold=min_w,
-        q_identity_residual=q_residual,
-        passed=passed,
+        w_origin_at_threshold=float(w[0]),
+        min_w_at_threshold=float(w.min()),
+        q_identity_residual=float(np.max(np.abs(w - math.exp(gamma_t_c) * q0))),
     )

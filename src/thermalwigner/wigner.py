@@ -25,35 +25,34 @@ DEFAULT_GRID_POINTS = 201
 
 @dataclass(frozen=True)
 class EvolvedSpatsCoefficients:
-    """Coefficients (xi, zeta, kappa) of the evolved SPATS Wigner closed form.
+    """Coefficients (xi, kappa) of the evolved SPATS Wigner closed form.
 
-    xi scales the Gaussian width, zeta equals gamma_t * xi identically, and
-    kappa controls the sign at the origin: the Wigner function has a negative
-    disk exactly while kappa < 0.
+    xi scales the Gaussian width and kappa controls the sign at the origin:
+    the Wigner function has a negative disk exactly while kappa < 0.  The
+    printed closed form has a third coefficient, zeta = 2(nbar-n) gt +
+    (1+2n) gt e^(gt), which equals gt * xi identically; the evaluators use
+    e^(zeta/xi) = e^(gt) and so need only these two.
     """
 
     xi: float
-    zeta: float
     kappa: float
 
 
 def evolved_coefficients(channel: ChannelParams, bar_n: float) -> EvolvedSpatsCoefficients:
     """Closed-form coefficients of the SPATS Wigner function after decay.
 
-    At gamma_t = 0 they reduce to xi = 1 + 2*bar_n, zeta = 0,
-    kappa = -(4*bar_n + 2); kappa crosses zero at the threshold decay time
-    ln((2+2n)/(1+2n)) for every bar_n.
+    At gamma_t = 0 they reduce to xi = 1 + 2*bar_n and kappa = -(4*bar_n + 2);
+    kappa crosses zero at the threshold decay time ln((2+2n)/(1+2n)) for
+    every bar_n.
     """
     if not (math.isfinite(bar_n) and bar_n >= 0.0):
         raise ValueError(f"bar_n must be finite and >= 0, got {bar_n}")
-    gt = channel.gamma_t
-    u = math.exp(gt)
+    u = math.exp(channel.gamma_t)
     dn = bar_n - channel.n
     m = 1.0 + 2.0 * channel.n
     xi = 2.0 * dn + m * u
-    zeta = 2.0 * dn * gt + m * gt * u
     kappa = -8.0 * dn * (1.0 + channel.n) + 2.0 * m * m * u * u + 4.0 * (bar_n * m - m * m) * u
-    return EvolvedSpatsCoefficients(xi=xi, zeta=zeta, kappa=kappa)
+    return EvolvedSpatsCoefficients(xi=xi, kappa=kappa)
 
 
 def eval_thermal_wigner(q, p, n_mean: float):
@@ -82,9 +81,10 @@ def eval_spats_wigner_initial(q, p, bar_n: float):
 def eval_spats_wigner_evolved(q, p, channel: ChannelParams, bar_n: float):
     """Wigner function of the SPATS after decay time ``channel.gamma_t``.
 
-    Uses the closed form [kappa + 8(1+nbar) e^(gt) r^2] / (pi xi^3)
-    * exp((zeta - 2 e^(gt) r^2)/xi); at gamma_t = 0 it reduces pointwise to
-    :func:`eval_spats_wigner_initial`.
+    Uses the closed form e^(gt) [kappa + 8(1+nbar) e^(gt) r^2] / (pi xi^3)
+    * exp(-2 e^(gt) r^2/xi), the printed form with its factor e^(zeta/xi)
+    = e^(gt) moved into the amplitude; at gamma_t = 0 it reduces pointwise
+    to :func:`eval_spats_wigner_initial`.
     """
     return _spats_evolved_evaluator(channel, bar_n)(q, p)
 
@@ -99,8 +99,8 @@ def _spats_evolved_evaluator(channel: ChannelParams, bar_n: float) -> Callable:
 
     def evaluate(q, p):
         r2 = np.square(q) + np.square(p)
-        amp = (c.kappa + slope * r2) / norm
-        return amp * np.exp((c.zeta - 2.0 * u * r2) / c.xi)
+        # u = 1 at gamma_t = 0 leaves every operation on u exact
+        return u * ((c.kappa + slope * r2) / norm) * np.exp(-2.0 * u * r2 / c.xi)
 
     return evaluate
 
@@ -157,19 +157,29 @@ def eval_q_function(q, p, state: FockDiagonalState):
     return acc / math.pi
 
 
+def _checked(values, shape: tuple) -> np.ndarray:
+    """Evaluator output as a float array, which must have the broadcast shape of its inputs."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ValueError(
+            f"evaluator returned shape {values.shape} where its inputs broadcast to {shape}; "
+            "evaluators must broadcast over numpy arrays"
+        )
+    return values
+
+
 @dataclass(frozen=True)
 class WignerGrid:
     """Uniform phase-space sampling of a quasiprobability function.
 
-    ``values[i, j]`` is the sample at (q_axis[i], p_axis[j]) (row-major in q).
+    ``values[i, j]`` is the sample at (q_axis[i], p_axis[j]) (row-major in q);
+    its shape (n_q, n_p), at least 2 points per axis, fixes the axes.
     """
 
     q_min: float
     q_max: float
     p_min: float
     p_max: float
-    n_q: int
-    n_p: int
     values: np.ndarray
 
     def __post_init__(self):
@@ -178,13 +188,19 @@ class WignerGrid:
                 raise ValueError(f"{name} must be finite")
         if not (self.q_min < self.q_max and self.p_min < self.p_max):
             raise ValueError("grid extents must be ordered")
-        if self.n_q < 2 or self.n_p < 2:
-            raise ValueError("need at least 2 points per axis")
         vals = np.array(self.values, dtype=float)
-        if vals.shape != (self.n_q, self.n_p):
-            raise ValueError(f"values shape {vals.shape} != ({self.n_q}, {self.n_p})")
+        if vals.ndim != 2 or min(vals.shape) < 2:
+            raise ValueError(f"need 2-D values with at least 2 points per axis, got {vals.shape}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @property
+    def n_q(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def n_p(self) -> int:
+        return self.values.shape[1]
 
     @property
     def dq(self) -> float:
@@ -193,12 +209,6 @@ class WignerGrid:
     @property
     def dp(self) -> float:
         return (self.p_max - self.p_min) / (self.n_p - 1)
-
-    @property
-    def cell_area(self) -> float:
-        """Area of one cell, from the first spacing of each sampled axis."""
-        q_axis, p_axis = self.q_axis, self.p_axis
-        return (q_axis[1] - q_axis[0]) * (p_axis[1] - p_axis[0])
 
     @property
     def q_axis(self) -> np.ndarray:
@@ -213,7 +223,9 @@ class WignerGrid:
         return float(np.trapezoid(np.trapezoid(self.values, self.p_axis, axis=1), self.q_axis))
 
     def with_values(self, values: np.ndarray) -> "WignerGrid":
-        """Copy of this grid geometry carrying new sample values."""
+        """Copy of this grid geometry, shape included, carrying new sample values."""
+        if np.shape(values) != self.values.shape:
+            raise ValueError(f"values shape {np.shape(values)} != grid shape {self.values.shape}")
         return replace(self, values=values)
 
 
@@ -228,22 +240,14 @@ def sample_grid(
 ) -> WignerGrid:
     """Sample ``evaluator(q, p)`` on a uniform grid.
 
-    The evaluator is called once with the full (n_q, n_p) coordinate arrays
-    and must broadcast over them; a result of any other shape raises
-    ``ValueError``.
+    The evaluator is called once, on a column of q values of shape (n_q, 1)
+    and a row of p values of shape (1, n_p), and must return their broadcast
+    shape (n_q, n_p); a result of any other shape raises ``ValueError``.
     """
     qs = np.linspace(q_min, q_max, n_q)
     ps = np.linspace(p_min, p_max, n_p)
-    qq, pp = np.meshgrid(qs, ps, indexing="ij")
-    return WignerGrid(
-        q_min=q_min,
-        q_max=q_max,
-        p_min=p_min,
-        p_max=p_max,
-        n_q=n_q,
-        n_p=n_p,
-        values=evaluator(qq, pp),
-    )
+    values = _checked(evaluator(qs[:, None], ps[None, :]), (n_q, n_p))
+    return WignerGrid(q_min=q_min, q_max=q_max, p_min=p_min, p_max=p_max, values=values)
 
 
 def default_extent(bar_n: float = 0.0, n: float = 0.0) -> float:

@@ -352,19 +352,19 @@ class TestGoldenOutput:
         assert main(_GOLDEN_GRID_ARGS + gamma_ts + ["--out", str(tmp_path / "g.csv")]) == EXIT_OK
         assert _digests(tmp_path) == {
             "g-00.csv": "ad43508872c64ea871da39e1baa22936df0783239fadae0f77415f8c715a7839",
-            "g-00.csv.meta.json": "eb5e5b5b03453b9d908f2f4e4d7b2911be3b6c5d70ccfdeb780b8a5df3b6e49c",
-            "g-01.csv": "c449ee678d0112ab629d16acd44bde51b508af54b5fc30717c3d14e32723a891",
-            "g-01.csv.meta.json": "d76b60188a6b30cc81ed059b208b07d98a17b7477daebd1556313739b0ec14f1",
-            "g-02.csv": "09dc941e7902e0521e63fdabf7f16fbe39cd63d761bd7bdb991106a11ceef369",
-            "g-02.csv.meta.json": "249ce8226d521a230c4ee195c79fbdce3ee87efeefce4f784b572b30fcc0e17f",
+            "g-00.csv.meta.json": "e29107e1e8df1781b2795ea66d0ed7e0b963b6654ac678f71041632ca608e6d2",
+            "g-01.csv": "d344549478596144c2dbfad5a5d780603a9ddf007dbe9965f7cdccec19126b3f",
+            "g-01.csv.meta.json": "16da8348a4f0913b8f0e9de969c0c3e0a7653a10503afc0ee7281e08bf7d7bfa",
+            "g-02.csv": "84e3f011d6c9d02a5143d80f80642f72ff8d0dc0f04187e2019d9a6b183e3685",
+            "g-02.csv.meta.json": "1d88cea8675d439009b35f742b6326bf47b11c4e9b027ed919138892a659941e",
         }
 
     def test_wigner_grid_jsonl(self, tmp_path):
         argv = _GOLDEN_GRID_ARGS + ["--gamma-t", "0.3", "--format", "jsonl"]
         assert main(argv + ["--out", str(tmp_path / "g.jsonl")]) == EXIT_OK
         assert _digests(tmp_path) == {
-            "g.jsonl": "b68383d7c65fa4e27c66c04753ef4d23c241b702892dd6fbda603da1585ff66d",
-            "g.jsonl.meta.json": "0f864f02b082949401cd86e9529dc305ed433fc5fab3977e36e27d884c62cb76",
+            "g.jsonl": "2d9dd698dc38ccff2c654a4ec0e5c53a09949f66443caef27ee4bd399f99f106",
+            "g.jsonl.meta.json": "e98fb674795dc33b503790b2a0a155b98d38f9976ef75d8c66b00ec5c52a2ddb",
         }
 
     @pytest.mark.parametrize(
@@ -378,7 +378,7 @@ class TestGoldenOutput:
             ),
             (
                 "csv", True, {
-                    "c.csv": "b6e20e71e77cb2b90b951e7c6227d4ee71a94c1e6f56447bc9b1b6dc924225b2",
+                    "c.csv": "d6f94527750841839357e4cc968b67592d2e69d47d1dd1c0c5b6beb1a25d8c5b",
                     "c.csv.meta.json": "afd8d65106a578d73748a68bdc8e4c936556e7282bdcea7f8039b8dfc0efdd57",
                 },
             ),
@@ -390,7 +390,7 @@ class TestGoldenOutput:
             ),
             (
                 "jsonl", True, {
-                    "c.jsonl": "d7a7c71e4176d44887c33717ba319be2e5a72a139056c23db8a5493b4a142278",
+                    "c.jsonl": "14857bbc844e26ea0eb311aa69a9d44ed6650227a36683cf22990834526d9841",
                     "c.jsonl.meta.json": "fadfa8e73a7a77c3abcb50f01e0798524b78bb5e57f547562432f81dad95246a",
                 },
             ),

@@ -18,7 +18,6 @@ from thermalwigner import (
     eval_spats_wigner_initial,
     eval_thermal_wigner,
     evolved_coefficients,
-    negative_region_radius_spats,
     pnw_numeric,
     pnw_radial,
     pnw_spats_analytic,
@@ -59,17 +58,27 @@ class TestNegativityResult:
             NegativityResult(0.1, 0.0, "analytic")
 
 
+def disk_radius(channel, bar_n):
+    return pnw_spats_analytic(channel, bar_n).region_radius
+
+
+def printed_zeta(channel, bar_n):
+    """The printed closed form's zeta = 2(nbar-n) gt + (1+2n) gt e^(gt)."""
+    gt, n = channel.gamma_t, channel.n
+    return 2.0 * (bar_n - n) * gt + (1.0 + 2.0 * n) * gt * math.exp(gt)
+
+
 class TestNegativeRegionRadius:
     def test_single_photon_radius(self):
-        radius = negative_region_radius_spats(ChannelParams(0.0, 0.0), 0.0)
+        radius = disk_radius(ChannelParams(0.0, 0.0), 0.0)
         assert radius == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("n", [0.0, 0.5, 1.0])
     def test_absent_at_threshold(self, n):
-        assert negative_region_radius_spats(ChannelParams(n, threshold_spats(n)), 1.0) is None
+        assert disk_radius(ChannelParams(n, threshold_spats(n)), 1.0) is None
 
     def test_seed_one_radius(self):
-        radius = negative_region_radius_spats(ChannelParams(0.5, 0.0), 1.0)
+        radius = disk_radius(ChannelParams(0.5, 0.0), 1.0)
         assert radius == pytest.approx(math.sqrt(6.0 / 16.0), abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -77,7 +86,7 @@ class TestNegativeRegionRadius:
         [(ChannelParams(0.0, 0.0), 0.0), (ChannelParams(0.5, 0.0), 1.0), (ChannelParams(0.5, 0.2), 3.0 / 7.0)],
     )
     def test_sign_change_at_radius(self, channel, bar_n):
-        radius = negative_region_radius_spats(channel, bar_n)
+        radius = disk_radius(channel, bar_n)
         inside = float(eval_spats_wigner_evolved(radius - 1e-6, 0.0, channel, bar_n))
         outside = float(eval_spats_wigner_evolved(radius + 1e-6, 0.0, channel, bar_n))
         assert inside < 0.0 < outside
@@ -118,20 +127,23 @@ class TestAnalyticVolume:
             c = evolved_coefficients(channel, bar_n)
             exponent = c.kappa / (4.0 * (1.0 + bar_n) * c.xi)
             bracket = c.kappa / (2.0 * c.xi) + 2.0 * (1.0 + bar_n) * (1.0 - math.exp(exponent))
-            literal = -bracket * math.exp(-float(gt)) * math.exp(c.zeta / c.xi) / c.xi
+            zeta = printed_zeta(channel, bar_n)
+            literal = -bracket * math.exp(-float(gt)) * math.exp(zeta / c.xi) / c.xi
             assert pnw_spats_analytic(channel, bar_n).volume == pytest.approx(
                 literal, abs=1e-12
             )
 
     @pytest.mark.parametrize("seed", range(10))
     def test_printed_prefactor_is_unity(self, seed):
-        # e^(-gt) e^(zeta/xi) = 1 identically since zeta = gt * xi
+        # e^(-gt) e^(zeta/xi) = 1 identically since zeta = gt * xi, so the
+        # closed form drops the printed factor
         rng = np.random.default_rng(seed)
         n = float(rng.uniform(0.0, 2.0))
         gt = float(rng.uniform(0.0, 2.0))
         bar_n = float(rng.uniform(0.0, 5.0))
+        zeta = printed_zeta(ChannelParams(n, gt), bar_n)
         c = evolved_coefficients(ChannelParams(n, gt), bar_n)
-        assert abs(math.exp(-gt) * math.exp(c.zeta / c.xi) - 1.0) < 1e-12
+        assert abs(math.exp(-gt) * math.exp(zeta / c.xi) - 1.0) < 1e-12
 
 
 class TestNumericVolume:
@@ -144,6 +156,13 @@ class TestNumericVolume:
         result = pnw_radial(lambda r: eval_spats_wigner_initial(r, 0.0, 0.0), 6.0)
         assert result.volume == pytest.approx(GOLDEN_SINGLE_PHOTON, abs=1e-6)
         assert result.region_radius == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("r_max", [1.0, 2.0, 4.0, 8.0])
+    def test_root_on_a_scan_node_is_found(self, r_max):
+        # the scan of [0, r_max] has a node at exactly 0.5, where W is exactly 0
+        result = pnw_radial(lambda r: eval_spats_wigner_initial(r, 0.0, 0.0), r_max)
+        assert result.volume == pytest.approx(GOLDEN_SINGLE_PHOTON, abs=1e-12)
+        assert result.region_radius == 0.5
 
     def test_fock_two_annulus_from_independent_oracle(self):
         # stand-alone profile: L_2(x) = 1 - 2x + x^2/2 written out, no library reuse

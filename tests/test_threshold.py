@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from thermalwigner import (
     ChannelParams,
     FockDiagonalState,
+    TheoremReport,
+    ThresholdReport,
     convolve_evolve,
     eval_fock_diagonal_wigner,
     eval_q_function,
@@ -312,3 +315,38 @@ class TestZeroVacuumTheorem:
         report = verify_zero_vacuum_theorem(spats_weights(0.5), 0.5)
         assert report.state_family == "fock-diagonal"
         assert report.to_json_dict()["state_family"] == "fock-diagonal"
+
+
+class TestReportsStoreOnlyMeasurements:
+    def test_threshold_residual_is_derived(self):
+        assert [f.name for f in dataclasses.fields(ThresholdReport)] == [
+            "gamma_t_c_analytic",
+            "gamma_t_c_numeric",
+        ]
+        report = ThresholdReport(gamma_t_c_analytic=0.75, gamma_t_c_numeric=0.5)
+        assert report.residual == 0.25
+        assert report.to_json_dict()["residual"] == 0.25
+
+    @pytest.mark.parametrize(
+        "origin, minimum, q_residual, passed",
+        [
+            (0.0, 0.0, 0.0, True),
+            (-5e-10, -5e-10, 5e-10, True),
+            (2e-9, 0.0, 0.0, False),
+            (0.0, -2e-9, 0.0, False),
+            (0.0, 0.0, 2e-9, False),
+        ],
+    )
+    def test_theorem_verdict_is_derived_from_the_tolerances(
+        self, origin, minimum, q_residual, passed
+    ):
+        assert [f.name for f in dataclasses.fields(TheoremReport)] == [
+            "state_id",
+            "n",
+            "w_origin_at_threshold",
+            "min_w_at_threshold",
+            "q_identity_residual",
+        ]
+        report = TheoremReport("case", 0.5, origin, minimum, q_residual)
+        assert report.passed is passed
+        assert report.to_json_dict()["passed"] is passed

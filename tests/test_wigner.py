@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,12 @@ from thermalwigner import (
 
 RNG = np.random.default_rng(2024)
 RANDOM_POINTS = RNG.uniform(-4.0, 4.0, size=(100, 2))
+
+
+def printed_zeta(channel, bar_n):
+    """The printed closed form's zeta = 2(nbar-n) gt + (1+2n) gt e^(gt)."""
+    gt, n = channel.gamma_t, channel.n
+    return 2.0 * (bar_n - n) * gt + (1.0 + 2.0 * n) * gt * math.exp(gt)
 
 
 def fock(l):
@@ -69,8 +76,11 @@ class TestEvolvedCoefficients:
     def test_time_zero_reduction(self, bar_n, n):
         c = evolved_coefficients(ChannelParams(n, 0.0), bar_n)
         assert c.xi == pytest.approx(1.0 + 2.0 * bar_n, abs=1e-12)
-        assert c.zeta == 0.0
         assert c.kappa == pytest.approx(-(4.0 * bar_n + 2.0), abs=1e-12)
+
+    def test_only_xi_and_kappa_are_stored(self):
+        c = evolved_coefficients(ChannelParams(0.5, 0.3), 1.0)
+        assert dataclasses.asdict(c) == {"xi": c.xi, "kappa": c.kappa}
 
     @pytest.mark.parametrize("bar_n", [0.0, 1.0, 10.0])
     @pytest.mark.parametrize("n", [0.0, 0.5, 1.0])
@@ -81,12 +91,14 @@ class TestEvolvedCoefficients:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_zeta_is_gamma_t_times_xi(self, seed):
+        # the printed third coefficient, which the library folds into e^(gt)
         rng = np.random.default_rng(seed)
         bar_n = float(rng.uniform(0.0, 5.0))
         n = float(rng.uniform(0.0, 2.0))
         gt = float(rng.uniform(0.0, 3.0))
+        zeta = printed_zeta(ChannelParams(n, gt), bar_n)
         c = evolved_coefficients(ChannelParams(n, gt), bar_n)
-        assert abs(c.zeta - gt * c.xi) < 1e-12 * max(1.0, abs(c.zeta))
+        assert abs(zeta - gt * c.xi) < 1e-12 * max(1.0, abs(zeta))
 
     @pytest.mark.parametrize("bar_n", [0.0, 0.5, 1.0, 5.0])
     @pytest.mark.parametrize("gt", [0.0, 0.1, 0.5, 2.0])
@@ -98,6 +110,25 @@ class TestEvolvedCoefficients:
 
 class TestSpatsWignerEvolved:
     LATTICE = [0.0, 3.0 / 7.0, 0.5, 1.0, 5.0]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        bar_n=st.floats(0.0, 10.0),
+        n=st.floats(0.0, 5.0),
+        gamma_t=st.floats(0.0, 5.0),
+    )
+    def test_matches_printed_zeta_form(self, bar_n, n, gamma_t):
+        # [kappa + 8(1+nbar) e^(gt) r^2] / (pi xi^3) * exp((zeta - 2 e^(gt) r^2)/xi)
+        channel = ChannelParams(n, gamma_t)
+        c = evolved_coefficients(channel, bar_n)
+        zeta = printed_zeta(channel, bar_n)
+        u = math.exp(gamma_t)
+        r = np.linspace(0.0, 1.5 * default_extent(bar_n, n), 50)
+        r2 = r * r
+        printed = (c.kappa + 8.0 * (1.0 + bar_n) * u * r2) / (math.pi * c.xi**3)
+        printed = printed * np.exp((zeta - 2.0 * u * r2) / c.xi)
+        library = eval_spats_wigner_evolved(r, 0.0, channel, bar_n)
+        assert np.max(np.abs(library - printed)) <= 1e-13 * np.max(np.abs(printed))
 
     @pytest.mark.parametrize("bar_n", LATTICE)
     @pytest.mark.parametrize("n", LATTICE)
@@ -278,7 +309,7 @@ def test_rotational_symmetry_is_exact(evaluator):
 
 class TestWignerGrid:
     def test_constant_evaluator_unit_square(self):
-        grid = sample_grid(lambda q, p: np.ones_like(q), 0.0, 1.0, 0.0, 1.0, 11, 17)
+        grid = sample_grid(lambda q, p: np.ones_like(q * p), 0.0, 1.0, 0.0, 1.0, 11, 17)
         assert grid.trapezoid_integral() == pytest.approx(1.0, abs=1e-14)
 
     def test_vacuum_normalization(self):
@@ -298,6 +329,17 @@ class TestWignerGrid:
         assert grid.values[1, 0] == pytest.approx(grid.q_axis[1], abs=1e-15)
         assert grid.values[0, 2] == pytest.approx(10.0 * grid.p_axis[2], abs=1e-15)
 
+    def test_evaluator_gets_a_column_and_a_row(self):
+        shapes = []
+
+        def evaluator(q, p):
+            shapes.append((q.shape, p.shape))
+            return q + p
+
+        grid = sample_grid(evaluator, 0.0, 1.0, 0.0, 2.0, 3, 5)
+        assert shapes == [((3, 1), (1, 5))]
+        assert (grid.n_q, grid.n_p) == (3, 5)
+
     def test_non_broadcasting_evaluator_rejected(self):
         # the evaluator is called once on the coordinate arrays, never per point
         def scalar_only(q, p):
@@ -307,27 +349,44 @@ class TestWignerGrid:
             sample_grid(scalar_only, -1.0, 1.0, -1.0, 1.0, 5, 5)
         with pytest.raises(ValueError, match="shape"):
             sample_grid(lambda q, p: 0.5, -1.0, 1.0, -1.0, 1.0, 5, 5)
+        with pytest.raises(ValueError, match="broadcast"):
+            sample_grid(lambda q, p: np.exp(-q * q), -1.0, 1.0, -1.0, 1.0, 5, 5)
+
+    def test_transposed_result_rejected(self):
+        with pytest.raises(ValueError, match=r"\(5, 3\) where its inputs broadcast to \(3, 5\)"):
+            sample_grid(lambda q, p: (q + p).T, 0.0, 1.0, 0.0, 2.0, 3, 5)
 
     def test_cell_area_recorded(self):
-        grid = sample_grid(lambda q, p: q * 0.0, 0.0, 1.0, 0.0, 1.0, 5, 3)
-        assert grid.cell_area == pytest.approx(0.25 * 0.5, abs=1e-15)
+        grid = sample_grid(lambda q, p: q * p * 0.0, 0.0, 1.0, 0.0, 1.0, 5, 3)
+        assert grid.dq * grid.dp == pytest.approx(0.25 * 0.5, abs=1e-15)
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
-            WignerGrid(1.0, 0.0, 0.0, 1.0, 2, 2, np.zeros((2, 2)))
+            WignerGrid(1.0, 0.0, 0.0, 1.0, np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            WignerGrid(0.0, 1.0, 0.0, 1.0, 1, 2, np.zeros((1, 2)))
+            WignerGrid(0.0, 1.0, 0.0, 1.0, np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            WignerGrid(0.0, 1.0, 0.0, 1.0, 2, 2, np.zeros((3, 2)))
+            WignerGrid(0.0, 1.0, 0.0, 1.0, np.zeros(4))
+        with pytest.raises(ValueError):
+            sample_grid(lambda q, p: q * p, 0.0, 1.0, 0.0, 1.0, 2, 1)
+
+    def test_shape_comes_from_the_values(self):
+        grid = WignerGrid(0.0, 1.0, -1.0, 1.0, np.zeros((3, 5)))
+        assert (grid.n_q, grid.n_p) == (3, 5)
+        assert (grid.dq, grid.dp) == (0.5, 0.5)
+        assert grid.q_axis.tolist() == [0.0, 0.5, 1.0]
 
     def test_with_values_keeps_geometry(self):
-        grid = sample_grid(lambda q, p: q * 0.0, 0.0, 1.0, 0.0, 1.0, 4, 4)
+        grid = sample_grid(lambda q, p: q * p * 0.0, 0.0, 1.0, 0.0, 1.0, 4, 4)
         other = grid.with_values(np.ones((4, 4)))
-        assert other.cell_area == grid.cell_area
+        assert (other.q_min, other.q_max, other.p_min, other.p_max) == (0.0, 1.0, 0.0, 1.0)
+        assert (other.dq, other.dp) == (grid.dq, grid.dp)
         assert other.values[0, 0] == 1.0
+        with pytest.raises(ValueError, match="grid shape"):
+            grid.with_values(np.ones((4, 5)))
 
     def test_values_immutable(self):
-        grid = sample_grid(lambda q, p: q * 0.0, 0.0, 1.0, 0.0, 1.0, 4, 4)
+        grid = sample_grid(lambda q, p: q * p * 0.0, 0.0, 1.0, 0.0, 1.0, 4, 4)
         with pytest.raises(ValueError):
             grid.values[0, 0] = 5.0
 
