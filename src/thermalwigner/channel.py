@@ -15,7 +15,6 @@ results and for each other.  Only the equation's route needs scipy: it imports
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -27,12 +26,13 @@ from .errors import NonConvergenceError
 from .states import ChannelParams
 from .wigner import WignerGrid, eval_thermal_wigner
 
-logger = logging.getLogger(__name__)
-
 EDGE_MASS_LOSS_BOUND = 1e-4
 _QUAD_ORDER = 16
 _ABS_TOL = 1e-9
 _MAX_DOUBLINGS = 7
+# Largest 1-norm at which the degree-13 Pade approximant of exp is accurate to
+# double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+_THETA_13 = 5.371920351148152
 
 
 @functools.lru_cache(maxsize=32)
@@ -139,6 +139,36 @@ def _axis_operator(axis: np.ndarray, diffusion: float) -> np.ndarray:
     return op
 
 
+def _expm(matrix: np.ndarray) -> np.ndarray:
+    """exp(matrix) by scaling and squaring, with the squarings done here.
+
+    ``scipy.linalg.expm`` computes the Pade step on matrix / 2^s, where s is
+    the least power that brings the 1-norm down to theta_13 (Al-Mohy and
+    Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)); the s squarings
+    follow here.  The exponential of an axis operator is a discrete heat
+    kernel whose entries fall off like a Gaussian away from the diagonal, so
+    an unscaled square forms many products below 2^-1022, which the CPU
+    handles in slow microcode.  Each square is therefore taken of E * 2^k and
+    scaled back by 2^-2k: powers of two are exact, so every entry in the
+    normal range keeps its bits, and the underflowing products become normal.
+    """
+    from scipy.linalg import expm
+
+    norm = np.linalg.norm(matrix, 1)
+    squarings = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
+    exp = expm(np.ldexp(matrix, -squarings))
+    size_bits = math.frexp(matrix.shape[0])[1]
+    for _ in range(squarings):
+        # With size < 2^size_bits and max|E| < 2^top, an entry of the scaled
+        # square sums `size` products below 2^(2 top + 2k), so it stays below
+        # 2^(size_bits + 2 top + 2k) <= 2^1023, half the overflow threshold.
+        top = math.frexp(float(np.max(np.abs(exp))))[1]
+        k = (1023 - size_bits - 2 * top) // 2
+        scaled = np.ldexp(exp, k)
+        exp = np.ldexp(scaled @ scaled, -2 * k)
+    return exp
+
+
 def fokker_planck_evolve(
     initial: WignerGrid,
     channel: ChannelParams,
@@ -150,10 +180,12 @@ def fokker_planck_evolve(
     finite-difference operator A per axis, and the semi-discrete system is
     solved exactly in time.  The two axis operators commute, so the solution
     is  W(gamma_t) = E_q W_0 E_p^T  with  E = expm(gamma_t * A), computed once
-    per distinct axis by scaling and squaring; no time step is taken.  The
-    boundary is Dirichlet zero: the input's edge rows and columns are zeroed.
-    The mass crossing the boundary is logged and expected to stay below 1e-4
-    on a properly sized grid.  ``scipy.linalg`` is imported on first use.
+    per distinct axis by scaling and squaring (:func:`_expm`); no time step
+    is taken.  The longer axis is contracted first, so transposing a grid
+    with n_q != n_p transposes the result bitwise.  The boundary is Dirichlet
+    zero: the input's edge rows and columns are zeroed, and the mass that
+    crosses it must stay within ``EDGE_MASS_LOSS_BOUND`` = 1e-4.
+    ``scipy.linalg`` is imported on first use.
 
     Raises
     ------
@@ -162,10 +194,10 @@ def fokker_planck_evolve(
     NonConvergenceError
         If the input grid holds non-finite values (with their count,
         ``non_finite_points``); it is the only way the result can be
-        non-finite.
+        non-finite.  Also if the boundary mass loss exceeds
+        ``EDGE_MASS_LOSS_BOUND`` (with the ``drift``, the ``bound`` and the
+        grid's ``q_extent`` and ``p_extent``): the grid is too small.
     """
-    from scipy.linalg import expm
-
     if spec is not None and spec.dt is not None:
         raise ValueError(
             f"fokker_planck_evolve integrates exactly in time and takes no step; "
@@ -183,27 +215,29 @@ def fokker_planck_evolve(
 
     diffusion = (2.0 * channel.n + 1.0) / 8.0
     q_axis, p_axis = initial.q_axis, initial.p_axis
-    exp_q = expm(gamma_t * _axis_operator(q_axis, diffusion))
+    exp_q = _expm(gamma_t * _axis_operator(q_axis, diffusion))
     if np.array_equal(p_axis, q_axis):
         exp_p = exp_q
     else:
-        exp_p = expm(gamma_t * _axis_operator(p_axis, diffusion))
+        exp_p = _expm(gamma_t * _axis_operator(p_axis, diffusion))
 
     values = initial.values.copy()
     values[[0, -1], :] = 0.0
     values[:, [0, -1]] = 0.0
-    result = initial.with_values(exp_q @ values @ exp_p.T)
+    # The longer axis is contracted first, on C-ordered values, so the
+    # transposed grid makes the same products.
+    if initial.n_q < initial.n_p:
+        evolved = (exp_p @ np.ascontiguousarray(values.T) @ exp_q.T).T
+    else:
+        evolved = exp_q @ values @ exp_p.T
+    result = initial.with_values(evolved)
     drift = result.trapezoid_integral() - initial.trapezoid_integral()
-    logger.info(
-        "fokker_planck_evolve: exact exponential, mass drift %.3e (bound %.0e)",
-        drift,
-        EDGE_MASS_LOSS_BOUND,
-    )
     if abs(drift) > EDGE_MASS_LOSS_BOUND:
-        logger.warning(
-            "fokker_planck_evolve: boundary mass loss %.3e exceeds %.0e; "
-            "enlarge the grid extent",
-            drift,
-            EDGE_MASS_LOSS_BOUND,
+        raise NonConvergenceError(
+            "Fokker-Planck boundary mass loss exceeds its bound; enlarge the grid extent",
+            drift=drift,
+            bound=EDGE_MASS_LOSS_BOUND,
+            q_extent=(initial.q_min, initial.q_max),
+            p_extent=(initial.p_min, initial.p_max),
         )
     return result

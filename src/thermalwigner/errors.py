@@ -7,10 +7,11 @@ class NonConvergenceError(RuntimeError):
     """A numerical routine failed to reach its tolerance or met bad input.
 
     Raised by quadrature that does not converge, by a bisection bracket that
-    misses its root, and by a non-finite Fokker-Planck input grid.  Carries a
+    misses its root, by a non-finite Fokker-Planck input grid, and by a
+    Fokker-Planck grid too small to hold the evolved mass.  Carries a
     ``diagnostics`` dict (last estimates, tolerance, final resolution or
-    order, count of non-finite points, ...) so callers can report the
-    failure precisely.
+    order, count of non-finite points, mass drift, ...) so callers can report
+    the failure precisely.
     """
 
     def __init__(self, message: str, **diagnostics):

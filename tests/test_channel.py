@@ -10,6 +10,7 @@ from thermalwigner import (
     ChannelParams,
     FokkerPlanckSpec,
     NonConvergenceError,
+    WignerGrid,
     convolve_evolve,
     eval_spats_wigner_evolved,
     eval_spats_wigner_initial,
@@ -185,6 +186,28 @@ class TestFokkerPlanckEvolve:
         out = fokker_planck_evolve(grid, ChannelParams(0.5, 0.3))
         assert abs(out.trapezoid_integral() - grid.trapezoid_integral()) < 1e-4
 
+    def test_edge_mass_loss_on_small_grid_raises(self):
+        # bar_n 1, n 2 at 0.9 gamma_t_c: extent 3 loses 2.5e-2 of the mass
+        grid = self.make_grid(extent=3.0, points=121)
+        with pytest.raises(NonConvergenceError, match="enlarge the grid extent") as excinfo:
+            fokker_planck_evolve(grid, ChannelParams(2.0, 0.9 * threshold_spats(2.0)))
+        diagnostics = excinfo.value.diagnostics
+        assert diagnostics["drift"] == pytest.approx(-2.47e-2, abs=1e-4)
+        assert diagnostics["bound"] == channel_module.EDGE_MASS_LOSS_BOUND
+        assert diagnostics["q_extent"] == diagnostics["p_extent"] == (-3.0, 3.0)
+
+    def test_unequal_axes_match_closed_form_and_transpose(self):
+        # q and p axes differ, so each gets its own exponential
+        channel = ChannelParams(0.5, 0.3)
+        grid = sample_grid(spats_initial(1.0), -6.0, 6.0, -8.0, 8.0, 241, 321)
+        out = fokker_planck_evolve(grid, channel)
+        exact = eval_spats_wigner_evolved(out.q_axis[:, None], out.p_axis[None, :], channel, 1.0)
+        assert np.max(np.abs(out.values - exact)) < 0.5 * out.dq**2
+
+        swapped = WignerGrid(-8.0, 8.0, -6.0, 6.0, grid.values.T)
+        out_swapped = fokker_planck_evolve(swapped, channel)
+        assert np.array_equal(out_swapped.values, out.values.T)
+
     def test_non_finite_input_reports_point_count(self):
         grid = self.make_grid(points=41)
         for poison in (np.inf, np.nan):
@@ -199,6 +222,54 @@ class TestFokkerPlanckEvolve:
         grid = self.make_grid(points=41)
         with pytest.raises(ValueError, match="takes no step"):
             fokker_planck_evolve(grid, ChannelParams(0.5, 0.1), FokkerPlanckSpec(dt=0.01))
+
+
+def axis_generator(points, lo, hi, n, gamma_t):
+    axis = np.linspace(lo, hi, points)
+    return gamma_t * channel_module._axis_operator(axis, (2.0 * n + 1.0) / 8.0)
+
+
+class TestScaledSquaringExpm:
+    # scaling the squarings by powers of two keeps every normal-range bit
+    @pytest.mark.parametrize(
+        "n,gamma_t",
+        [
+            (0.5, 0.3),  # the verify --suite oracles channel
+            (0.0, 0.2),
+            (0.0, 1.2 * math.log(2.0)),
+            (1.3, 0.7 * threshold_spats(1.3)),
+            (2.0, 1.2 * threshold_spats(2.0)),
+        ],
+    )
+    def test_bitwise_equal_to_scipy_on_oracle_grid(self, n, gamma_t):
+        from scipy.linalg import expm
+
+        operator = axis_generator(241, -6.0, 6.0, n, gamma_t)
+        assert np.array_equal(channel_module._expm(operator), expm(operator))
+
+    @pytest.mark.parametrize(
+        "points,lo,hi,n,gamma_t",
+        [
+            (points, lo, hi, n, gamma_t)
+            for points, lo, hi in [(3, -6.0, 6.0), (5, -6.0, 6.0), (5, -3.0, 8.0), (41, -1.0, 20.0)]
+            for n in (0.0, 2.0, 1000.0)
+            for gamma_t in (1e-3, 1.0, 5.0, 50.0)
+        ]
+        + [(401, -6.0, 6.0, 0.5, 5.0), (401, -6.0, 6.0, 1000.0, 5.0)],
+    )
+    def test_close_to_scipy(self, points, lo, hi, n, gamma_t):
+        # where scipy squares fewer times the two differ by rounding only
+        from scipy.linalg import expm
+
+        operator = axis_generator(points, lo, hi, n, gamma_t)
+        ours, reference = channel_module._expm(operator), expm(operator)
+        assert np.all(np.isfinite(ours))
+        assert np.max(np.abs(ours - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    def test_two_point_axis_is_the_identity(self):
+        # both rows are Dirichlet edges, so the operator is zero
+        operator = axis_generator(2, -1.0, 1.0, 0.5, 1.0)
+        assert np.array_equal(channel_module._expm(operator), np.eye(2))
 
 
 class TestOracleCrossAgreement:

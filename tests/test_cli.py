@@ -252,14 +252,30 @@ class TestVerifyCommand:
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert records[0]["parameters"] == {"suite": "oracles"}  # no seed
         checks = {r["check"]: r for r in records[1:]}
-        assert checks["closed-vs-convolution"]["linf"] < 1e-8
-        assert checks["closed-vs-fokker-planck"]["linf"] < 1e-3
-        assert checks["closed-vs-fock-basis"]["linf"] < 1e-6
+        # pinned bitwise: a change to any of the three routes shows here
+        assert {name: row["linf"] for name, row in checks.items()} == {
+            "closed-vs-convolution": 1.526412607422145e-10,
+            "closed-vs-fokker-planck": 4.014676321063837e-05,
+            "closed-vs-fock-basis": 1.9040463650199513e-12,
+        }
         assert {name: row["tol"] for name, row in checks.items()} == {
             "closed-vs-convolution": 1e-8,
             "closed-vs-fokker-planck": 1e-3,
             "closed-vs-fock-basis": 1e-6,
         }
+
+    def test_fokker_planck_mass_loss_exits_three(self, monkeypatch, tmp_path, capsys):
+        import thermalwigner.channel as channel_module
+
+        # the oracle grid drifts by about 1e-10; a zero bound rejects it
+        monkeypatch.setattr(channel_module, "EDGE_MASS_LOSS_BOUND", 0.0)
+        out = tmp_path / "report.jsonl"
+        assert main(["verify", "--suite", "oracles", "--out", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("thermal-wigner verify: error: Fokker-Planck boundary mass loss")
+        assert "enlarge the grid extent" in err
+        assert "drift=" in err and "q_extent=(-6.0, 6.0)" in err
+        assert not out.exists()
 
     def test_theorem_seed_draws_other_states(self, tmp_path):
         rows = {}
