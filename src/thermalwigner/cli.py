@@ -14,7 +14,7 @@ values are ``%.17g``, JSONL values are json's own float encoding, and each
 distinct value of a column is formatted once.
 
 Exit codes: 0 success, 1 verification failure, 2 I/O error, 3 numerical
-non-convergence, 64 usage error.
+non-convergence or float overflow, 64 usage error.
 """
 
 from __future__ import annotations
@@ -141,13 +141,9 @@ def _table_text(columns: dict, fmt: str, header: dict) -> str:
     return head + row * math.prod(shape) % tuple(cells.reshape(-1).tolist())
 
 
-def _sidecar_path(out: str) -> str:
-    return out + ".meta.json"
-
-
 def _write_sidecar(out: str, meta: dict) -> None:
     meta = {"tool": "thermal-wigner", "version": __version__, **meta}
-    Path(_sidecar_path(out)).write_text(
+    Path(out + ".meta.json").write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n"
     )
 
@@ -442,6 +438,10 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         # str(exc) carries the failing tolerance and the last estimates
         print(f"thermal-wigner {args.command}: error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OverflowError as exc:
+        # a Python float operation past the largest double (numpy gives inf instead)
+        print(f"thermal-wigner {args.command}: error: float overflow: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

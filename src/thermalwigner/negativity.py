@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonConvergenceError
-from .states import ChannelParams
+from .states import ChannelParams, _check_nonnegative
 from .wigner import _checked, evolved_coefficients
 
 _RADIAL_SCAN_POINTS = 4097
@@ -48,8 +48,7 @@ class NegativityResult:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if not (math.isfinite(self.volume) and self.volume >= 0.0):
-            raise ValueError(f"volume must be finite and >= 0, got {self.volume}")
+        _check_nonnegative("volume", self.volume)
         if self.region_radius is not None and not self.region_radius > 0.0:
             raise ValueError("region_radius must be positive when present")
 
@@ -106,24 +105,21 @@ def pnw_radial(profile: Callable, r_max: float) -> NegativityResult:
     radii = np.linspace(0.0, r_max, _RADIAL_SCAN_POINTS)
     values = _checked(profile(radii), radii.shape)
 
-    def w(r: float) -> float:
-        return float(profile(r))
-
     # a root on a scan node leaves a zero there, which no product of neighbours
     # makes negative; a change of sign class keeps it (brentq accepts a zero endpoint)
     negative = values < 0.0
     crossings = np.flatnonzero(negative[:-1] != negative[1:])
-    roots = [brentq(w, radii[i], radii[i + 1]) for i in crossings]
+    roots = [brentq(profile, radii[i], radii[i + 1]) for i in crossings]
     edges = [0.0, *roots, r_max]
 
     total = 0.0
     quad_error = 0.0
     negative_segments = []
     for a, b in zip(edges[:-1], edges[1:]):
-        if w(0.5 * (a + b)) >= 0.0:
+        if profile(0.5 * (a + b)) >= 0.0:
             continue
         value, err = quad(
-            lambda r: 2.0 * math.pi * r * w(r),
+            lambda r: 2.0 * math.pi * r * profile(r),
             a,
             b,
             epsabs=1e-10,

@@ -17,10 +17,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 DEFAULT_TAIL_TOL = 1e-12
+
+
+def _check_nonnegative(name: str, value: float) -> None:
+    """Refuse a parameter that is not a finite number >= 0, naming it."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -40,10 +47,8 @@ class ChannelParams:
     gamma_t: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.n) and self.n >= 0.0):
-            raise ValueError(f"channel n must be finite and >= 0, got {self.n}")
-        if not (math.isfinite(self.gamma_t) and self.gamma_t >= 0.0):
-            raise ValueError(f"gamma_t must be finite and >= 0, got {self.gamma_t}")
+        _check_nonnegative("channel n", self.n)
+        _check_nonnegative("gamma_t", self.gamma_t)
 
 
 @dataclass(frozen=True)
@@ -79,11 +84,16 @@ class FockDiagonalState:
         return self.weights.size - 1
 
 
-def _spats_tail_mass(cutoff: int, bar_n: float) -> float:
-    """Mass of the photon-added thermal weights beyond ``cutoff`` (exact)."""
-    x = bar_n / (1.0 + bar_n)
-    # sum_{l>L} l x^l = x^{L+1} [(L+1) - L x] / (1-x)^2, then divide by nbar(nbar+1)
-    return x ** (cutoff + 1) * ((cutoff + 1) - cutoff * x) * (1.0 + bar_n) / bar_n
+def _cutoff(moment_tail: Callable[[int], float]) -> int:
+    """Least L >= 1 whose first-moment tail sum_{l>L} l p_l is below ``DEFAULT_TAIL_TOL``.
+
+    Every dropped level has l >= L + 1 >= 2, so the moment tail is at least
+    twice the dropped mass sum_{l>L} p_l, which is then below the tolerance too.
+    """
+    cutoff = 1
+    while moment_tail(cutoff) >= DEFAULT_TAIL_TOL:
+        cutoff += 1
+    return cutoff
 
 
 def _spats_tail_moment(cutoff: int, bar_n: float) -> float:
@@ -100,20 +110,14 @@ def spats_weights(bar_n: float) -> FockDiagonalState:
     p_l = l * nbar^(l-1) / (1 + nbar)^(l+1) for l >= 1 and p_0 = 0, where
     ``bar_n`` is the mean photon number of the thermal seed.  ``bar_n = 0``
     gives exactly the one-photon Fock state.  The cutoff is the smallest
-    index at which both the analytic tail mass and the tail of the first
-    moment fall below ``DEFAULT_TAIL_TOL`` = 1e-12 (so the truncated mean
-    photon number is accurate to 1e-12 as well).
+    index at which the tail of the first moment falls below
+    ``DEFAULT_TAIL_TOL`` = 1e-12; the tail mass, at most half of it, is then
+    below 1e-12 too, and the truncated mean photon number is accurate to 1e-12.
     """
-    if not (math.isfinite(bar_n) and bar_n >= 0.0):
-        raise ValueError(f"bar_n must be finite and >= 0, got {bar_n}")
+    _check_nonnegative("bar_n", bar_n)
     if bar_n == 0.0:
         return FockDiagonalState(np.array([0.0, 1.0]))
-    cutoff = 1
-    while (
-        _spats_tail_mass(cutoff, bar_n) >= DEFAULT_TAIL_TOL
-        or _spats_tail_moment(cutoff, bar_n) >= DEFAULT_TAIL_TOL
-    ):
-        cutoff += 1
+    cutoff = _cutoff(lambda L: _spats_tail_moment(L, bar_n))
     # l x^(l-1) / (1+nbar)^2 with x = nbar/(1+nbar) < 1: no power overflows
     x = bar_n / (1.0 + bar_n)
     l = np.arange(1, cutoff + 1, dtype=float)
@@ -125,22 +129,15 @@ def spats_weights(bar_n: float) -> FockDiagonalState:
 def thermal_weights(n_mean: float) -> FockDiagonalState:
     """Bose-Einstein populations p_l = n^l / (1+n)^(l+1) of a thermal state.
 
-    The geometric tail beyond cutoff L is exactly (n/(1+n))^(L+1); the cutoff
-    keeps both that tail and the first-moment tail x^(L+1) ((L+1) - L x) (1+n)
-    below ``DEFAULT_TAIL_TOL`` = 1e-12, so the truncated mean photon number
-    stays accurate.
+    The cutoff is the smallest index L at which the first-moment tail
+    x^(L+1) ((L+1) - L x) (1+n), x = n/(1+n), falls below
+    ``DEFAULT_TAIL_TOL`` = 1e-12, so the truncated mean photon number stays
+    accurate; the geometric tail mass x^(L+1), at most half of it, is then
+    below 1e-12 too.  ``n_mean = 0`` gives the vacuum, weights [1, 0].
     """
-    if not (math.isfinite(n_mean) and n_mean >= 0.0):
-        raise ValueError(f"n_mean must be finite and >= 0, got {n_mean}")
-    if n_mean == 0.0:
-        return FockDiagonalState(np.array([1.0, 0.0]))
+    _check_nonnegative("n_mean", n_mean)
     x = n_mean / (1.0 + n_mean)
-    cutoff = 1
-    while (
-        x ** (cutoff + 1) >= DEFAULT_TAIL_TOL
-        or x ** (cutoff + 1) * ((cutoff + 1) - cutoff * x) * (1.0 + n_mean) >= DEFAULT_TAIL_TOL
-    ):
-        cutoff += 1
+    cutoff = _cutoff(lambda L: x ** (L + 1) * ((L + 1) - L * x) * (1.0 + n_mean))
     l = np.arange(cutoff + 1, dtype=float)
     w = x ** l / (1.0 + n_mean)
     return FockDiagonalState(w)

@@ -27,10 +27,11 @@ from .errors import NonConvergenceError
 from .states import (
     ChannelParams,
     FockDiagonalState,
+    _check_nonnegative,
     evolve_fock_diagonal,
     vacuum_population,
 )
-from .wigner import eval_fock_diagonal_wigner, eval_q_function, eval_spats_wigner_evolved
+from .wigner import eval_fock_diagonal_wigner, eval_q_function, evolved_coefficients
 
 _BRACKET_HIGH = 2.0
 # Half-width at which threshold_numeric_spats stops bisecting: 34 halvings
@@ -105,11 +106,18 @@ class TheoremReport:
         return {**asdict(self), "passed": self.passed, "state_family": self.state_family}
 
 
+def _occupancy_law(growth: float, n: float) -> float:
+    """ln((growth + 2n) / (1 + 2n)); ``ValueError`` where the ratio overflows in n."""
+    ratio = (growth + 2.0 * n) / (1.0 + 2.0 * n)
+    if not math.isfinite(ratio):
+        raise ValueError(f"n = {n} overflows the threshold law")
+    return math.log(ratio)
+
+
 def threshold_spats(n: float) -> float:
-    """Threshold decay time ln((2+2n)/(1+2n)) in a channel with occupancy n."""
-    if not (math.isfinite(n) and n >= 0.0):
-        raise ValueError(f"n must be finite and >= 0, got {n}")
-    return math.log((2.0 + 2.0 * n) / (1.0 + 2.0 * n))
+    """Threshold decay time ln((2+2n)/(1+2n)); ``ValueError`` once 2n overflows (n > ~9e307)."""
+    _check_nonnegative("n", n)
+    return _occupancy_law(2.0, n)
 
 
 def threshold_general(gamma_tc_loss: float, n: float) -> float:
@@ -120,22 +128,27 @@ def threshold_general(gamma_tc_loss: float, n: float) -> float:
     channel smooths W with variance (2n+1)(e^(gamma_t) - 1)/4 (Lee 1991), so
     the threshold is where that reaches its n = 0 value (e^(gamma_tc_loss) - 1)/4;
     zero-vacuum states have e^(gamma_tc_loss) = 2 (:func:`threshold_spats`).
+    An argument at which e^(gamma_tc_loss) or the ratio overflows raises
+    ``ValueError`` naming it.
     """
-    if not (math.isfinite(gamma_tc_loss) and gamma_tc_loss >= 0.0):
-        raise ValueError(f"gamma_tc_loss must be finite and >= 0, got {gamma_tc_loss}")
-    if not (math.isfinite(n) and n >= 0.0):
-        raise ValueError(f"n must be finite and >= 0, got {n}")
-    return math.log((math.exp(gamma_tc_loss) + 2.0 * n) / (1.0 + 2.0 * n))
+    _check_nonnegative("gamma_tc_loss", gamma_tc_loss)
+    _check_nonnegative("n", n)
+    try:
+        growth = math.exp(gamma_tc_loss)
+    except OverflowError:
+        raise ValueError(f"gamma_tc_loss = {gamma_tc_loss} overflows e^(gamma_tc_loss)") from None
+    return _occupancy_law(growth, n)
 
 
 def threshold_numeric_spats(n: float, bar_n: float) -> ThresholdReport:
     """Locate the threshold decay time by bisection on [0, 2] to ``BISECTION_TOL``.
 
-    Bisects the sign of the evolved Wigner value at the origin, which is the
-    sign of kappa, a monotone switch on the bracket for every tested
-    parameter range.  One method is enough: the negativity volume is positive
-    exactly while kappa < 0, so bisecting on it would switch at the same
-    decay time and check nothing new.
+    Bisects the sign of kappa, a monotone switch on the bracket for every
+    tested parameter range.  That is the sign of the evolved Wigner value at
+    the origin, e^(gt) kappa / (pi xi^3) with xi >= 1 + 2 bar_n > 0, whose
+    pi xi^3 overflows from bar_n ~ 2e102 on.  One method is enough: the
+    negativity volume is positive exactly while kappa < 0, so bisecting on it
+    would switch at the same decay time and check nothing new.
 
     Raises
     ------
@@ -144,7 +157,7 @@ def threshold_numeric_spats(n: float, bar_n: float) -> ThresholdReport:
     """
 
     def still_negative(gt: float) -> bool:
-        return float(eval_spats_wigner_evolved(0.0, 0.0, ChannelParams(n, gt), bar_n)) < 0.0
+        return evolved_coefficients(ChannelParams(n, gt), bar_n).kappa < 0.0
 
     lo, hi = 0.0, _BRACKET_HIGH
     if not still_negative(lo) or still_negative(hi):

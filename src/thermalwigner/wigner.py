@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .states import ChannelParams, FockDiagonalState
+from .states import ChannelParams, FockDiagonalState, _check_nonnegative
 
 # Highest Fock index the Laguerre three-term recurrence is trusted for;
 # larger indices are refused rather than silently degraded.
@@ -45,8 +45,7 @@ def evolved_coefficients(channel: ChannelParams, bar_n: float) -> EvolvedSpatsCo
     kappa crosses zero at the threshold decay time ln((2+2n)/(1+2n)) for
     every bar_n.
     """
-    if not (math.isfinite(bar_n) and bar_n >= 0.0):
-        raise ValueError(f"bar_n must be finite and >= 0, got {bar_n}")
+    _check_nonnegative("bar_n", bar_n)
     u = math.exp(channel.gamma_t)
     dn = bar_n - channel.n
     m = 1.0 + 2.0 * channel.n
@@ -57,8 +56,7 @@ def evolved_coefficients(channel: ChannelParams, bar_n: float) -> EvolvedSpatsCo
 
 def eval_thermal_wigner(q, p, n_mean: float):
     """Thermal-state Wigner function 2/(pi*(1+2n)) * exp(-2 r^2/(1+2n))."""
-    if not (math.isfinite(n_mean) and n_mean >= 0.0):
-        raise ValueError(f"n_mean must be finite and >= 0, got {n_mean}")
+    _check_nonnegative("n_mean", n_mean)
     r2 = np.square(q) + np.square(p)
     m = 1.0 + 2.0 * n_mean
     return 2.0 / (math.pi * m) * np.exp(-2.0 * r2 / m)
@@ -70,8 +68,7 @@ def eval_spats_wigner_initial(q, p, bar_n: float):
     (2/pi) * [4(1+nbar) r^2/(1+2nbar)^3 - 1/(1+2nbar)^2] * exp(-2 r^2/(1+2nbar));
     negative on the disk r < sqrt((1+2nbar)/(4+4nbar)).
     """
-    if not (math.isfinite(bar_n) and bar_n >= 0.0):
-        raise ValueError(f"bar_n must be finite and >= 0, got {bar_n}")
+    _check_nonnegative("bar_n", bar_n)
     r2 = np.square(q) + np.square(p)
     m = 1.0 + 2.0 * bar_n
     poly = 4.0 * (1.0 + bar_n) * r2 / m**3 - 1.0 / m**2
@@ -110,14 +107,12 @@ def _laguerre_series(x, coefficients: np.ndarray):
 
     The recurrence runs on the Laguerre functions L_l(x) e^(-x/2), which are
     bounded by 1 for x >= 0, so it cannot overflow where L_l(x) alone would.
+    There are at least 2 coefficients: a state's cutoff is at least 1.
     """
     x = np.asarray(x, dtype=float)
     prev = np.exp(-0.5 * x)
-    acc = coefficients[0] * prev
-    if coefficients.size == 1:
-        return acc
     cur = (1.0 - x) * prev
-    acc = acc + coefficients[1] * cur
+    acc = coefficients[0] * prev + coefficients[1] * cur
     for k in range(1, coefficients.size - 1):
         prev, cur = cur, ((2.0 * k + 1.0 - x) * cur - k * prev) / (k + 1.0)
         acc = acc + coefficients[k + 1] * cur

@@ -348,6 +348,29 @@ def test_invalid_parameter_is_usage_error(argv, capsys):
     assert err.count("\n") == 1  # one line, no traceback
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wigner-grid", "--bar-n", "1e103", "--gamma-t", "0.1", "--resolution", "5", "--out"],
+        ["pnw-curve", "--bar-n", "1e103", "--steps", "3", "--with-numeric"],
+    ],
+)
+def test_float_overflow_exits_three(argv, tmp_path, capsys):
+    # pi xi^3 in the evolved closed form overflows at this seed occupancy
+    if argv[-1] == "--out":
+        argv = argv + [str(tmp_path / "g.csv")]
+    assert main(argv) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith(f"thermal-wigner {argv[0]}: error: float overflow")
+    assert err.count("\n") == 1  # one line, no traceback
+
+
+def test_threshold_at_huge_seed_occupancy(capsys):
+    assert main(["threshold", "--n", "0.5", "--bar-n", "1e103"]) == EXIT_OK
+    row = json.loads(capsys.readouterr().out.splitlines()[1])
+    assert row["residual"] < 1e-9
+
+
 def test_exit_code_constants():
     assert (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_IO, EXIT_NUMERICAL, EXIT_USAGE) == (0, 1, 2, 3, 64)
 

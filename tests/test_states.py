@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +94,13 @@ class TestSpatsWeights:
         with pytest.raises(ValueError):
             spats_weights(-0.5)
 
+    @pytest.mark.parametrize(
+        "bar_n,cutoff",
+        [(0.0, 1), (0.05, 11), (3.0 / 7.0, 29), (1.0, 51), (3.0, 126), (10.0, 391), (30.0, 1171)],
+    )
+    def test_cutoff_pinned(self, bar_n, cutoff):
+        assert spats_weights(bar_n).cutoff == cutoff
+
     def test_large_seed_is_finite_and_evolves(self):
         # the cutoff is 391; nbar^(l-1) / (1+nbar)^(l+1) overflows from l near 300
         state = spats_weights(10.0)
@@ -105,7 +114,7 @@ class TestSpatsWeights:
 class TestThermalWeights:
     def test_zero_is_vacuum(self):
         state = thermal_weights(0.0)
-        assert state.weights[0] == 1.0
+        assert state.weights.tolist() == [1.0, 0.0]
 
     def test_geometric_weights(self):
         state = thermal_weights(1.0)
@@ -120,6 +129,47 @@ class TestThermalWeights:
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):
             thermal_weights(-1.0)
+
+    @pytest.mark.parametrize(
+        "n_mean,cutoff", [(0.0, 1), (0.5, 28), (1.0, 45), (10.0, 351), (50.0, 1774)]
+    )
+    def test_cutoff_pinned(self, n_mean, cutoff):
+        assert thermal_weights(n_mean).cutoff == cutoff
+
+
+def tails(p, cutoff):
+    """(mass, first moment) of the weight formula ``p(l)`` beyond ``cutoff``, summed far past it."""
+    l = np.arange(cutoff + 1, 50 * cutoff + 4000, dtype=float)
+    terms = p(l)
+    return math.fsum(terms), math.fsum(l * terms)
+
+
+class TestCutoffRule:
+    """The cutoff is the least L >= 1 whose first-moment tail is below 1e-12.
+
+    The tails are summed from the weight formulas, not taken from the
+    library's closed forms; the mass tail follows the moment tail below 1e-12.
+    """
+
+    @staticmethod
+    def check(state, p):
+        cutoff = state.cutoff
+        mass, moment = tails(p, cutoff)
+        assert mass < 1e-12 and moment < 1e-12
+        if cutoff > 1:
+            assert tails(p, cutoff - 1)[1] >= 1e-12
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.floats(math.log(1e-6), math.log(30.0)).map(math.exp))
+    def test_spats(self, bar_n):
+        x = bar_n / (1.0 + bar_n)
+        self.check(spats_weights(bar_n), lambda l: l * x ** (l - 1.0) / (1.0 + bar_n) ** 2)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.floats(math.log(1e-6), math.log(30.0)).map(math.exp))
+    def test_thermal(self, n_mean):
+        x = n_mean / (1.0 + n_mean)
+        self.check(thermal_weights(n_mean), lambda l: x**l / (1.0 + n_mean))
 
 
 class TestScalarObservables:

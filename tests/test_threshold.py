@@ -65,6 +65,11 @@ class TestThresholdSpats:
         with pytest.raises(ValueError):
             threshold_spats(-0.1)
 
+    def test_overflowing_occupancy_rejected(self):
+        # 2 + 2n and 1 + 2n both overflow, so the ratio would be nan
+        with pytest.raises(ValueError, match="n = 1e"):
+            threshold_spats(1e308)
+
 
 class TestThresholdGeneral:
     @pytest.mark.parametrize("n", [0.0, 0.25, 0.5, 1.0, 5.0])
@@ -84,6 +89,15 @@ class TestThresholdGeneral:
         with pytest.raises(ValueError):
             threshold_general(0.5, -0.1)
 
+    def test_overflowing_arguments_rejected(self):
+        with pytest.raises(ValueError, match="gamma_tc_loss = 800"):
+            threshold_general(800.0, 0.5)
+        with pytest.raises(ValueError, match="n = 1e"):
+            threshold_general(0.7, 1e308)
+        # e^709 + 2n overflows although each term is finite
+        with pytest.raises(ValueError, match="n = 8e"):
+            threshold_general(709.0, 8e307)
+
 
 class TestThresholdNumeric:
     @pytest.mark.parametrize("bar_n", [0.0, 3.0 / 7.0, 1.0])
@@ -99,6 +113,11 @@ class TestThresholdNumeric:
     def test_two_photon_channel_root(self):
         report = threshold_numeric_spats(2.0, 1.0)
         assert report.gamma_t_c_numeric == pytest.approx(math.log(6.0 / 5.0), abs=1e-9)
+
+    def test_huge_seed_root(self):
+        # the origin value's pi xi^3 overflows here; the sign of kappa does not
+        report = threshold_numeric_spats(0.5, 1e103)
+        assert report.gamma_t_c_numeric == pytest.approx(math.log(1.5), abs=1e-9)
 
     @pytest.mark.parametrize("n", [0.0, 0.5, 1.0])
     def test_root_independent_of_seed_occupancy(self, n):

@@ -262,13 +262,22 @@ class TestQFunction:
         gamma_t=st.floats(0.0, 1.5),
     )
     def test_evolved_q_is_a_normalized_density(self, bar_n, n, gamma_t):
-        evolved = evolve_fock_diagonal(spats_weights(bar_n), ChannelParams(n, gamma_t))
+        evolved = evolve_fock_diagonal(
+            spats_weights(bar_n), ChannelParams(n, gamma_t), step_tol=1e-11
+        )
         extent = default_extent(bar_n, n)
         grid = sample_grid(
             lambda q, p: eval_q_function(q, p, evolved), -extent, extent, -extent, extent, 201, 201
         )
         assert np.all(grid.values >= 0.0)
         assert abs(grid.trapezoid_integral() - 1.0) < 1e-6
+
+        # W of the same state integrates to its trace as well, sign changes and all
+        def wigner(q, p):
+            return eval_fock_diagonal_wigner(q, p, evolved)
+
+        w_grid = sample_grid(wigner, -extent, extent, -extent, extent, 201, 201)
+        assert abs(w_grid.trapezoid_integral() - 1.0) < 1e-9
 
     @pytest.mark.parametrize("n_mean", [0.0, 0.5, 2.0])
     def test_thermal_closed_form_oracle(self, n_mean):
