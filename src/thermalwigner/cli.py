@@ -59,6 +59,8 @@ EXIT_USAGE = 64
 _ORACLE_TOLS = {"convolution": 1e-8, "fokker-planck": 1e-3, "fock-basis": 1e-6}
 _THEOREM_TOLS = {"tol_origin": TOL_ORIGIN, "tol_min": TOL_MIN, "tol_q": TOL_Q}
 _THRESHOLD_TOLS = {"residual": 1e-8, "bisection_half_width": BISECTION_TOL}
+# provenance of every header record and sidecar
+_PROVENANCE = {"tool": "thermal-wigner", "version": __version__}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,19 +144,14 @@ def _table_text(columns: dict, fmt: str, header: dict) -> str:
 
 
 def _write_sidecar(out: str, meta: dict) -> None:
-    meta = {"tool": "thermal-wigner", "version": __version__, **meta}
+    meta = {**_PROVENANCE, **meta}
     Path(out + ".meta.json").write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n"
     )
 
 
 def _header_record(kind: str, parameters: dict, tolerances: dict | None = None) -> dict:
-    record = {
-        "kind": kind,
-        "tool": "thermal-wigner",
-        "version": __version__,
-        "parameters": parameters,
-    }
+    record = {"kind": kind, **_PROVENANCE, "parameters": parameters}
     if tolerances is not None:
         record["tolerances"] = tolerances
     return record
@@ -273,7 +270,7 @@ def cmd_threshold(args) -> int:
     return EXIT_OK
 
 
-def _verify_oracles() -> tuple[list[dict], bool]:
+def _verify_oracles() -> list[dict]:
     """Four-route agreement for the SPATS bar_n=1 in the n=0.5 channel at gt=0.3."""
     bar_n, n, gamma_t = 1.0, 0.5, 0.3
     channel = ChannelParams(n, gamma_t)
@@ -305,13 +302,12 @@ def _verify_oracles() -> tuple[list[dict], bool]:
     for route, err in linf.items():
         tol = _ORACLE_TOLS[route]
         rows.append({"check": f"closed-vs-{route}", "linf": err, "tol": tol, "passed": err < tol})
-    return rows, all(row["passed"] for row in rows)
+    return rows
 
 
-def _verify_theorem(seed: int) -> tuple[list[dict], bool]:
+def _verify_theorem(seed: int) -> list[dict]:
     """Zero-vacuum theorem over 50 random states and three channel settings."""
     rows = []
-    all_passed = True
     for offset in range(50):
         state_seed = seed + offset
         state = random_zero_vacuum_state(state_seed, cutoff=12)
@@ -322,14 +318,12 @@ def _verify_theorem(seed: int) -> tuple[list[dict], bool]:
                 # preserve the counterexample for regression
                 row["weights"] = [float(w) for w in state.weights]
             rows.append(row)
-            all_passed &= report.passed
-    return rows, all_passed
+    return rows
 
 
-def _verify_thresholds() -> tuple[list[dict], bool]:
+def _verify_thresholds() -> list[dict]:
     """Numeric thresholds match the law and are independent of the seed bar_n."""
     rows = []
-    all_passed = True
     for n in (0.0, 0.5, 1.0, 2.0):
         numeric = []
         for bar_n in (0.0, 3.0 / 7.0, 1.0, 10.0):
@@ -337,15 +331,14 @@ def _verify_thresholds() -> tuple[list[dict], bool]:
             row["passed"] = row["residual"] < _THRESHOLD_TOLS["residual"]
             rows.append(row)
             numeric.append(row["gamma_t_c_numeric"])
-            all_passed &= row["passed"]
         spread = max(numeric) - min(numeric)
         spread_ok = spread < _THRESHOLD_TOLS["residual"]
         rows.append({"n": n, "check": "bar-n-independence", "spread": spread, "passed": spread_ok})
-        all_passed &= spread_ok
-    return rows, all_passed
+    return rows
 
 
-# suite -> (runner, tolerances its header records, whether the runner takes --seed)
+# suite -> (runner, tolerances its header records, whether the runner takes --seed);
+# a runner returns its rows, each carrying its own verdict under "passed"
 VERIFY_SUITES = {
     "oracles": (_verify_oracles, _ORACLE_TOLS, False),
     "theorem": (_verify_theorem, _THEOREM_TOLS, True),
@@ -358,15 +351,15 @@ def cmd_verify(args) -> int:
     parameters = {"suite": args.suite}
     if seeded:
         parameters["seed"] = 1 if args.seed is None else args.seed
-        rows, all_passed = runner(parameters["seed"])
+        rows = runner(parameters["seed"])
     elif args.seed is not None:
         raise ValueError(f"suite {args.suite!r} draws nothing at random and takes no --seed")
     else:
-        rows, all_passed = runner()
+        rows = runner()
     header = _header_record("verify-report", parameters, tolerances=tolerances)
     _write_text(args.out, _jsonl_text([header, *rows]))
-    if not all_passed:
-        failing = [r for r in rows if not r.get("passed", True)]
+    failing = [r for r in rows if not r["passed"]]
+    if failing:
         print(
             f"verify: suite {args.suite!r} FAILED ({len(failing)} case(s)); "
             f"first: {json.dumps(failing[0], sort_keys=True)}",

@@ -111,13 +111,15 @@ def pnw_radial(profile: Callable, r_max: float) -> NegativityResult:
     crossings = np.flatnonzero(negative[:-1] != negative[1:])
     roots = [brentq(profile, radii[i], radii[i + 1]) for i in crossings]
     edges = [0.0, *roots, r_max]
+    # all scan nodes between two roots share a sign class: take each segment's first
+    starts_negative = negative[np.r_[0, crossings + 1]]
+    segments = [(a, b) for a, b, neg in zip(edges[:-1], edges[1:], starts_negative) if neg]
+    if not segments:
+        return NegativityResult(volume=0.0, region_radius=None, method="quadrature")
 
     total = 0.0
     quad_error = 0.0
-    negative_segments = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if profile(0.5 * (a + b)) >= 0.0:
-            continue
+    for a, b in segments:
         value, err = quad(
             lambda r: 2.0 * math.pi * r * profile(r),
             a,
@@ -128,10 +130,6 @@ def pnw_radial(profile: Callable, r_max: float) -> NegativityResult:
         )
         total += value
         quad_error += err
-        negative_segments.append((a, b))
-
-    if not negative_segments:
-        return NegativityResult(volume=0.0, region_radius=None, method="quadrature")
     if quad_error > RADIAL_ABS_TOL:
         raise NonConvergenceError(
             "radial quadrature error above tolerance",
@@ -139,9 +137,7 @@ def pnw_radial(profile: Callable, r_max: float) -> NegativityResult:
             abs_tol=RADIAL_ABS_TOL,
             estimate=abs(total),
         )
-    region_radius = None
-    if len(negative_segments) == 1 and negative_segments[0][0] == 0.0:
-        region_radius = negative_segments[0][1]
+    region_radius = segments[0][1] if len(segments) == 1 and segments[0][0] == 0.0 else None
     return NegativityResult(volume=abs(total), region_radius=region_radius, method="quadrature")
 
 

@@ -84,6 +84,15 @@ class FockDiagonalState:
         return self.weights.size - 1
 
 
+def _geometric_ratio(name: str, occupancy: float) -> float:
+    """x = n/(1+n); ``ValueError`` where x rounds to 1, whose moment tails never fall."""
+    _check_nonnegative(name, occupancy)
+    x = occupancy / (1.0 + occupancy)
+    if x == 1.0:
+        raise ValueError(f"{name} = {occupancy} rounds n/(1+n) to 1: no cutoff exists")
+    return x
+
+
 def _cutoff(moment_tail: Callable[[int], float]) -> int:
     """Least L >= 1 whose first-moment tail sum_{l>L} l p_l is below ``DEFAULT_TAIL_TOL``.
 
@@ -96,12 +105,14 @@ def _cutoff(moment_tail: Callable[[int], float]) -> int:
     return cutoff
 
 
-def _spats_tail_moment(cutoff: int, bar_n: float) -> float:
-    """First-moment mass sum_{l>L} l p_l of the photon-added thermal weights."""
-    x = bar_n / (1.0 + bar_n)
+def _spats_tail_moment(cutoff: int, x: float, bar_n: float) -> float:
+    """First-moment mass sum_{l>L} l p_l of the photon-added thermal weights, x = nbar/(1+nbar).
+
+    x^(L+1) (1+nbar)^2 / nbar = x^L (1+nbar): no division by nbar, and 0 at nbar = 0.
+    """
     one_minus_x = 1.0 / (1.0 + bar_n)
     poly = cutoff**2 * one_minus_x**2 + 2.0 * cutoff * one_minus_x + 1.0 + x
-    return x ** (cutoff + 1) * poly * (1.0 + bar_n) ** 2 / bar_n
+    return x**cutoff * poly * (1.0 + bar_n)
 
 
 def spats_weights(bar_n: float) -> FockDiagonalState:
@@ -113,13 +124,12 @@ def spats_weights(bar_n: float) -> FockDiagonalState:
     index at which the tail of the first moment falls below
     ``DEFAULT_TAIL_TOL`` = 1e-12; the tail mass, at most half of it, is then
     below 1e-12 too, and the truncated mean photon number is accurate to 1e-12.
+    The cutoff grows like nbar ln(1e12 nbar); from nbar of about 1e16 on,
+    where nbar/(1+nbar) rounds to 1, ``ValueError`` is raised instead.
     """
-    _check_nonnegative("bar_n", bar_n)
-    if bar_n == 0.0:
-        return FockDiagonalState(np.array([0.0, 1.0]))
-    cutoff = _cutoff(lambda L: _spats_tail_moment(L, bar_n))
+    x = _geometric_ratio("bar_n", bar_n)
+    cutoff = _cutoff(lambda L: _spats_tail_moment(L, x, bar_n))
     # l x^(l-1) / (1+nbar)^2 with x = nbar/(1+nbar) < 1: no power overflows
-    x = bar_n / (1.0 + bar_n)
     l = np.arange(1, cutoff + 1, dtype=float)
     w = np.zeros(cutoff + 1)
     w[1:] = l * x ** (l - 1.0) / (1.0 + bar_n) ** 2
@@ -133,10 +143,11 @@ def thermal_weights(n_mean: float) -> FockDiagonalState:
     x^(L+1) ((L+1) - L x) (1+n), x = n/(1+n), falls below
     ``DEFAULT_TAIL_TOL`` = 1e-12, so the truncated mean photon number stays
     accurate; the geometric tail mass x^(L+1), at most half of it, is then
-    below 1e-12 too.  ``n_mean = 0`` gives the vacuum, weights [1, 0].
+    below 1e-12 too.  ``n_mean = 0`` gives the vacuum, weights [1, 0].  The
+    cutoff grows like n ln(1e12 n); from n of about 1e16 on, where n/(1+n)
+    rounds to 1, ``ValueError`` is raised instead.
     """
-    _check_nonnegative("n_mean", n_mean)
-    x = n_mean / (1.0 + n_mean)
+    x = _geometric_ratio("n_mean", n_mean)
     cutoff = _cutoff(lambda L: x ** (L + 1) * ((L + 1) - L * x) * (1.0 + n_mean))
     l = np.arange(cutoff + 1, dtype=float)
     w = x ** l / (1.0 + n_mean)

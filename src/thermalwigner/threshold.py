@@ -62,8 +62,8 @@ class ThresholdReport:
     gamma_t_c_numeric: float
 
     def __post_init__(self):
-        if self.gamma_t_c_analytic < 0.0 or self.gamma_t_c_numeric < 0.0:
-            raise ValueError("threshold decay times must be >= 0")
+        _check_nonnegative("gamma_t_c_analytic", self.gamma_t_c_analytic)
+        _check_nonnegative("gamma_t_c_numeric", self.gamma_t_c_numeric)
 
     @property
     def residual(self) -> float:
@@ -143,17 +143,19 @@ def threshold_general(gamma_tc_loss: float, n: float) -> float:
 def threshold_numeric_spats(n: float, bar_n: float) -> ThresholdReport:
     """Locate the threshold decay time by bisection on [0, 2] to ``BISECTION_TOL``.
 
-    Bisects the sign of kappa, a monotone switch on the bracket for every
-    tested parameter range.  That is the sign of the evolved Wigner value at
-    the origin, e^(gt) kappa / (pi xi^3) with xi >= 1 + 2 bar_n > 0, whose
-    pi xi^3 overflows from bar_n ~ 2e102 on.  One method is enough: the
-    negativity volume is positive exactly while kappa < 0, so bisecting on it
-    would switch at the same decay time and check nothing new.
+    Bisects the sign of kappa = 2 xi (m e^(gt) - 2(1+n)), m = 1+2n, which is
+    that of the evolved Wigner value at the origin, e^(gt) kappa / (pi xi^3),
+    without forming pi xi^3.  As xi >= 1 + 2 bar_n > 0, it is the sign of the
+    second factor, which grows with gt and does not involve bar_n: the switch
+    is monotone by construction.  The residual is within the half-width for
+    n below 2^52 (about 4.5e15), where 1 + 2n is exact.  One method is
+    enough: the negativity volume is positive exactly while kappa < 0, so
+    bisecting on it would switch at the same decay time and check nothing new.
 
     Raises
     ------
     NonConvergenceError
-        If the bracket does not straddle the switch.
+        If the bracket does not straddle the switch, as it may from n = 2^52 on.
     """
 
     def still_negative(gt: float) -> bool:

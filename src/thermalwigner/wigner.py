@@ -28,10 +28,11 @@ class EvolvedSpatsCoefficients:
     """Coefficients (xi, kappa) of the evolved SPATS Wigner closed form.
 
     xi scales the Gaussian width and kappa controls the sign at the origin:
-    the Wigner function has a negative disk exactly while kappa < 0.  The
-    printed closed form has a third coefficient, zeta = 2(nbar-n) gt +
-    (1+2n) gt e^(gt), which equals gt * xi identically; the evaluators use
-    e^(zeta/xi) = e^(gt) and so need only these two.
+    the Wigner function has a negative disk exactly while kappa < 0.  As
+    kappa = 2 xi (m e^(gt) - 2(1+n)), m = 1+2n, and xi >= 1 + 2 nbar > 0,
+    that sign does not depend on nbar.  The printed closed form has a third
+    coefficient, zeta = 2(nbar-n) gt + (1+2n) gt e^(gt), which equals gt * xi
+    identically; the evaluators use e^(zeta/xi) = e^(gt) and need only these two.
     """
 
     xi: float
@@ -41,16 +42,20 @@ class EvolvedSpatsCoefficients:
 def evolved_coefficients(channel: ChannelParams, bar_n: float) -> EvolvedSpatsCoefficients:
     """Closed-form coefficients of the SPATS Wigner function after decay.
 
-    At gamma_t = 0 they reduce to xi = 1 + 2*bar_n and kappa = -(4*bar_n + 2);
-    kappa crosses zero at the threshold decay time ln((2+2n)/(1+2n)) for
-    every bar_n.
+    With u = e^(gt) and m = 1+2n, xi = 2(nbar-n) + m u, and the printed
+    kappa -8(nbar-n)(1+n) + 2 m^2 u^2 + 4(nbar m - m^2) u is computed as its
+    factorization 2 xi (m u - 2(1+n)), which does not cancel.  The second
+    factor is -(1+s) with s = -(2n+1)(u-1), the ordering parameter of Lee's
+    identity (module ``threshold``); it does not involve nbar, and xi > 0, so
+    kappa crosses zero at ln((2+2n)/(1+2n)) for every bar_n.  At gamma_t = 0,
+    xi = 1 + 2*bar_n and kappa = -(4*bar_n + 2).
     """
     _check_nonnegative("bar_n", bar_n)
     u = math.exp(channel.gamma_t)
     dn = bar_n - channel.n
     m = 1.0 + 2.0 * channel.n
     xi = 2.0 * dn + m * u
-    kappa = -8.0 * dn * (1.0 + channel.n) + 2.0 * m * m * u * u + 4.0 * (bar_n * m - m * m) * u
+    kappa = 2.0 * xi * (m * u - 2.0 * (1.0 + channel.n))
     return EvolvedSpatsCoefficients(xi=xi, kappa=kappa)
 
 
@@ -93,6 +98,8 @@ def _spats_evolved_evaluator(channel: ChannelParams, bar_n: float) -> Callable:
     # hoisted in Python's left-to-right order, so they round as they would inline
     slope = 8.0 * (1.0 + bar_n) * u
     norm = math.pi * c.xi**3
+    if not math.isfinite(norm):  # pi * xi**3 goes inf silently; xi**3 raises from 2.8e102
+        raise OverflowError(f"pi xi^3 overflows at xi = {c.xi}")
 
     def evaluate(q, p):
         r2 = np.square(q) + np.square(p)

@@ -254,9 +254,9 @@ class TestVerifyCommand:
         checks = {r["check"]: r for r in records[1:]}
         # pinned bitwise: a change to any of the three routes shows here
         assert {name: row["linf"] for name, row in checks.items()} == {
-            "closed-vs-convolution": 1.526412607422145e-10,
-            "closed-vs-fokker-planck": 4.014676321063837e-05,
-            "closed-vs-fock-basis": 1.9040463650199513e-12,
+            "closed-vs-convolution": 1.5264127462000232e-10,
+            "closed-vs-fokker-planck": 4.0146763210640105e-05,
+            "closed-vs-fock-basis": 1.9040498344669032e-12,
         }
         assert {name: row["tol"] for name, row in checks.items()} == {
             "closed-vs-convolution": 1e-8,
@@ -320,7 +320,7 @@ class TestVerifyCommand:
         import thermalwigner.cli as cli_module
 
         def failing_runner():
-            return [{"check": "synthetic-regression", "passed": False}], False
+            return [{"check": "synthetic-regression", "passed": False}]
 
         _, tolerances, seeded = cli_module.VERIFY_SUITES["thresholds"]
         monkeypatch.setitem(
@@ -353,16 +353,26 @@ def test_invalid_parameter_is_usage_error(argv, capsys):
     [
         ["wigner-grid", "--bar-n", "1e103", "--gamma-t", "0.1", "--resolution", "5", "--out"],
         ["pnw-curve", "--bar-n", "1e103", "--steps", "3", "--with-numeric"],
+        # xi^3 is finite but pi xi^3 is inf: an error, not a table of zeros
+        ["wigner-grid", "--bar-n", "2.5e102", "--gamma-t", "0.1", "--resolution", "5", "--out"],
+        ["pnw-curve", "--bar-n", "2.5e102", "--with-numeric"],
     ],
 )
 def test_float_overflow_exits_three(argv, tmp_path, capsys):
-    # pi xi^3 in the evolved closed form overflows at this seed occupancy
+    # pi xi^3 in the evolved closed form overflows at these seed occupancies
     if argv[-1] == "--out":
         argv = argv + [str(tmp_path / "g.csv")]
     assert main(argv) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err.startswith(f"thermal-wigner {argv[0]}: error: float overflow")
     assert err.count("\n") == 1  # one line, no traceback
+
+
+def test_threshold_at_large_channel_occupancy(capsys):
+    # kappa's unfactored three-term form cancels at this n and loses the bracket
+    assert main(["threshold", "--n", "1e8"]) == EXIT_OK
+    row = json.loads(capsys.readouterr().out.splitlines()[1])
+    assert row["residual"] < 1e-10
 
 
 def test_threshold_at_huge_seed_occupancy(capsys):
@@ -394,16 +404,16 @@ class TestGoldenOutput:
             "g-00.csv.meta.json": "e29107e1e8df1781b2795ea66d0ed7e0b963b6654ac678f71041632ca608e6d2",
             "g-01.csv": "d344549478596144c2dbfad5a5d780603a9ddf007dbe9965f7cdccec19126b3f",
             "g-01.csv.meta.json": "16da8348a4f0913b8f0e9de969c0c3e0a7653a10503afc0ee7281e08bf7d7bfa",
-            "g-02.csv": "84e3f011d6c9d02a5143d80f80642f72ff8d0dc0f04187e2019d9a6b183e3685",
-            "g-02.csv.meta.json": "1d88cea8675d439009b35f742b6326bf47b11c4e9b027ed919138892a659941e",
+            "g-02.csv": "693149bfb9fe6bf67e6f503bd91008cdb391969afedc62e99149629b6e94b606",
+            "g-02.csv.meta.json": "71af96fc1fd467e9d5fb93ea160f2792111a74abd42b0ed0ee3bc72fbda3a6f4",
         }
 
     def test_wigner_grid_jsonl(self, tmp_path):
         argv = _GOLDEN_GRID_ARGS + ["--gamma-t", "0.3", "--format", "jsonl"]
         assert main(argv + ["--out", str(tmp_path / "g.jsonl")]) == EXIT_OK
         assert _digests(tmp_path) == {
-            "g.jsonl": "2d9dd698dc38ccff2c654a4ec0e5c53a09949f66443caef27ee4bd399f99f106",
-            "g.jsonl.meta.json": "e98fb674795dc33b503790b2a0a155b98d38f9976ef75d8c66b00ec5c52a2ddb",
+            "g.jsonl": "a8008776e33f9a6f33991f619c9dd2d02e164e65d0d4cf41714a42170f80476f",
+            "g.jsonl.meta.json": "e54b012a1ce9c64c5a5ce7c35203f0cf6ee7147f1d536bfd31a4e743f393c0ae",
         }
 
     @pytest.mark.parametrize(
@@ -411,25 +421,25 @@ class TestGoldenOutput:
         [
             (
                 "csv", False, {
-                    "c.csv": "d07c63c1c68c8abe94409341d769c988391e2cfc68d56e5dbc27e749cbed3de1",
+                    "c.csv": "fd5c97511a5c3614fe8a2acb0ed3254663c8a5ba6d2f765b4f4cd9105ee4213e",
                     "c.csv.meta.json": "d22bfb9a73e0316f9ba34828ca25f44a6cbdfb3ad8604dab70420382020b4c41",
                 },
             ),
             (
                 "csv", True, {
-                    "c.csv": "d6f94527750841839357e4cc968b67592d2e69d47d1dd1c0c5b6beb1a25d8c5b",
+                    "c.csv": "d9c29aafb59d7fcd17ac8769fd8d27c1aac00cc18a134a50e98f1c02cdc9dbf6",
                     "c.csv.meta.json": "afd8d65106a578d73748a68bdc8e4c936556e7282bdcea7f8039b8dfc0efdd57",
                 },
             ),
             (
                 "jsonl", False, {
-                    "c.jsonl": "980cc1cce021420b0bce5960da6b7f9c85d7157984f24b6f9d2453ba7adeb7e9",
+                    "c.jsonl": "9f1342bd37a726a7f824c8477885a38811e4dc7487b3c6e0b65039ae802b7356",
                     "c.jsonl.meta.json": "bc3445e8987cbf510a3f01395c3bb8d942dfcd138a499121fe5574c5899a6c94",
                 },
             ),
             (
                 "jsonl", True, {
-                    "c.jsonl": "14857bbc844e26ea0eb311aa69a9d44ed6650227a36683cf22990834526d9841",
+                    "c.jsonl": "70887d77c179b4d466f770eb5e4db3c4c2d681b0c6dd183e0d046eee665c4a68",
                     "c.jsonl.meta.json": "fadfa8e73a7a77c3abcb50f01e0798524b78bb5e57f547562432f81dad95246a",
                 },
             ),

@@ -181,6 +181,29 @@ class TestNumericVolume:
         # the negative region is an annulus, not an origin disk
         assert result.region_radius is None
 
+    def test_fock_three_disk_and_annulus_from_independent_oracle(self):
+        # stand-alone profile: W = -(2/pi) L_3(4 r^2) e^(-2 r^2) with
+        # L_3(x) = 1 - 3x + 3x^2/2 - x^3/6 written out; L_3 > 0 on a disk and an annulus
+        def laguerre_3(r):
+            x = 4.0 * r * r
+            return 1.0 - 3.0 * x + 1.5 * x * x - x**3 / 6.0
+
+        def profile(r):
+            return -(2.0 / math.pi) * laguerre_3(r) * math.exp(-2.0 * r * r)
+
+        r1 = brentq(laguerre_3, 0.1, 0.5)
+        r2 = brentq(laguerre_3, 0.5, 1.0)
+        r3 = brentq(laguerre_3, 1.0, 1.5)
+        oracle = radial_quadrature_oracle(profile, 0.0, r1) + radial_quadrature_oracle(
+            profile, r2, r3
+        )
+
+        three_photons = FockDiagonalState([0.0, 0.0, 0.0, 1.0])
+        result = pnw_radial(lambda r: eval_fock_diagonal_wigner(r, 0.0, three_photons), 6.0)
+        assert result.volume == pytest.approx(oracle, abs=1e-12)
+        # two negative segments: not one origin disk
+        assert result.region_radius is None
+
     @pytest.mark.parametrize("bar_n", [0.0, 3.0 / 7.0, 1.0])
     @pytest.mark.parametrize("n", [0.0, 0.5])
     def test_agrees_with_analytic_along_decay(self, bar_n, n):

@@ -137,6 +137,13 @@ class TestThermalWeights:
         assert thermal_weights(n_mean).cutoff == cutoff
 
 
+@pytest.mark.parametrize("weights, name", [(spats_weights, "bar_n"), (thermal_weights, "n_mean")])
+def test_occupancy_without_cutoff_raises(weights, name):
+    # n/(1+n) rounds to 1 here, so no moment tail falls below the tolerance
+    with pytest.raises(ValueError, match=f"{name} = 1e\\+17"):
+        weights(1e17)
+
+
 def tails(p, cutoff):
     """(mass, first moment) of the weight formula ``p(l)`` beyond ``cutoff``, summed far past it."""
     l = np.arange(cutoff + 1, 50 * cutoff + 4000, dtype=float)

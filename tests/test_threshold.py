@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from thermalwigner import (
     ChannelParams,
     FockDiagonalState,
+    NonConvergenceError,
     TheoremReport,
     ThresholdReport,
     convolve_evolve,
@@ -25,6 +26,7 @@ from thermalwigner import (
     threshold_spats,
     verify_zero_vacuum_theorem,
 )
+from thermalwigner.threshold import BISECTION_TOL
 
 
 def s_parametrized_wigner(weights, n, gamma_t, r):
@@ -113,6 +115,18 @@ class TestThresholdNumeric:
     def test_two_photon_channel_root(self):
         report = threshold_numeric_spats(2.0, 1.0)
         assert report.gamma_t_c_numeric == pytest.approx(math.log(6.0 / 5.0), abs=1e-9)
+
+    @pytest.mark.parametrize("bar_n", [0.0, 1.0, 10.0])
+    @pytest.mark.parametrize("n", [1e7, 1e8, 1e12, 1e15])
+    def test_large_channel_occupancy_within_half_width(self, n, bar_n):
+        # kappa's unfactored three-term form cancels at these n (residual 1.3e-9
+        # at n = 1e7, no bracket from 1e8); the factored form keeps the root
+        assert threshold_numeric_spats(n, bar_n).residual < BISECTION_TOL
+
+    def test_occupancy_past_exact_one_plus_two_n_raises(self):
+        # from n = 2^52 on, 1 + 2n is not exact and kappa(0) is no longer negative
+        with pytest.raises(NonConvergenceError):
+            threshold_numeric_spats(1e16, 1.0)
 
     def test_huge_seed_root(self):
         # the origin value's pi xi^3 overflows here; the sign of kappa does not
@@ -337,6 +351,13 @@ class TestZeroVacuumTheorem:
 
 
 class TestReportsStoreOnlyMeasurements:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    @pytest.mark.parametrize("field", ["gamma_t_c_analytic", "gamma_t_c_numeric"])
+    def test_threshold_report_rejects_non_finite_or_negative_times(self, field, bad):
+        values = {"gamma_t_c_analytic": 0.5, "gamma_t_c_numeric": 0.5, field: bad}
+        with pytest.raises(ValueError, match=field):
+            ThresholdReport(**values)
+
     def test_threshold_residual_is_derived(self):
         assert [f.name for f in dataclasses.fields(ThresholdReport)] == [
             "gamma_t_c_analytic",

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from thermalwigner import (
     sample_grid,
     spats_weights,
     thermal_weights,
+    threshold_spats,
 )
 
 RNG = np.random.default_rng(2024)
@@ -31,6 +33,25 @@ def printed_zeta(channel, bar_n):
     """The printed closed form's zeta = 2(nbar-n) gt + (1+2n) gt e^(gt)."""
     gt, n = channel.gamma_t, channel.n
     return 2.0 * (bar_n - n) * gt + (1.0 + 2.0 * n) * gt * math.exp(gt)
+
+
+def kappa_error_ratio(n, bar_n, gamma_t):
+    """|kappa - printed kappa| / (2 xi (m e^(gt) + 2(1+n))), the reference in 50-digit decimals.
+
+    The printed kappa is -8(nbar-n)(1+n) + 2 m^2 e^(2gt) + 4(nbar m - m^2) e^(gt),
+    m = 1+2n, evaluated at the exact float inputs; the scale bounds the size of
+    the terms of kappa's factorization.
+    """
+    library = evolved_coefficients(ChannelParams(n, gamma_t), bar_n).kappa
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        n, b = decimal.Decimal(n), decimal.Decimal(bar_n)
+        u = decimal.Decimal(gamma_t).exp()
+        m = 1 + 2 * n
+        dn = b - n
+        printed = -8 * dn * (1 + n) + 2 * m * m * u * u + 4 * (b * m - m * m) * u
+        scale = 2 * (2 * dn + m * u) * (m * u + 2 * (1 + n))
+        return float(abs(decimal.Decimal(library) - printed) / scale)
 
 
 def fock(l):
@@ -106,6 +127,18 @@ class TestEvolvedCoefficients:
         for n in (0.0, 0.5, 2.0):
             c = evolved_coefficients(ChannelParams(n, gt), bar_n)
             assert c.xi >= 1.0 + 2.0 * bar_n - 1e-14
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.floats(0.0, 10.0), bar_n=st.floats(0.0, 30.0), gamma_t=st.floats(0.0, 2.0))
+    def test_kappa_matches_printed_polynomial(self, n, bar_n, gamma_t):
+        assert kappa_error_ratio(n, bar_n, gamma_t) <= 1e-15
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.floats(0.0, 10.0), bar_n=st.floats(0.0, 30.0), offset=st.floats(-1e-3, 1e-3))
+    def test_kappa_matches_printed_polynomial_near_threshold(self, n, bar_n, offset):
+        # the printed polynomial cancels here; its factorization does not
+        gamma_t = threshold_spats(n) * (1.0 + offset)
+        assert kappa_error_ratio(n, bar_n, gamma_t) <= 1e-15
 
 
 class TestSpatsWignerEvolved:
