@@ -181,11 +181,10 @@ def fokker_planck_evolve(
     solved exactly in time.  The two axis operators commute, so the solution
     is  W(gamma_t) = E_q W_0 E_p^T  with  E = expm(gamma_t * A), computed once
     per distinct axis by scaling and squaring (:func:`_expm`); no time step
-    is taken.  The longer axis is contracted first, so transposing a grid
-    with n_q != n_p transposes the result bitwise.  The boundary is Dirichlet
-    zero: the input's edge rows and columns are zeroed, and the mass that
-    crosses it must stay within ``EDGE_MASS_LOSS_BOUND`` = 1e-4.
-    ``scipy.linalg`` is imported on first use.
+    is taken.  The boundary is Dirichlet zero: the input's edge rows and
+    columns are zeroed, and the mass that crosses it must stay within
+    ``EDGE_MASS_LOSS_BOUND`` = 1e-4.  ``scipy.linalg`` is imported on first
+    use.
 
     Raises
     ------
@@ -224,13 +223,7 @@ def fokker_planck_evolve(
     values = initial.values.copy()
     values[[0, -1], :] = 0.0
     values[:, [0, -1]] = 0.0
-    # The longer axis is contracted first, on C-ordered values, so the
-    # transposed grid makes the same products.
-    if initial.n_q < initial.n_p:
-        evolved = (exp_p @ np.ascontiguousarray(values.T) @ exp_q.T).T
-    else:
-        evolved = exp_q @ values @ exp_p.T
-    result = initial.with_values(evolved)
+    result = initial.with_values(exp_q @ values @ exp_p.T)
     drift = result.trapezoid_integral() - initial.trapezoid_integral()
     if abs(drift) > EDGE_MASS_LOSS_BOUND:
         raise NonConvergenceError(

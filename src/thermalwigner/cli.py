@@ -105,24 +105,23 @@ _ENCODINGS = {"csv": (_csv_floats, ""), "jsonl": (_json_floats, "null")}
 def _encode_column(column, fmt: str) -> np.ndarray:
     """Object array of the encoded values of ``column``, in its shape.
 
-    Each bitwise-distinct float is encoded once, so -0.0 and 0.0 keep their
-    own text; ``None`` elements become the format's missing value.
+    A column is a float array, or ``None`` for a missing one, which encodes
+    as the format's missing value in a 0-d array.  Each bitwise-distinct
+    float is encoded once, so -0.0 and 0.0 keep their own text.
     """
     encode, missing_text = _ENCODINGS[fmt]
-    column = np.asarray(column)
-    missing = np.equal(column, None) if column.dtype == object else np.zeros(column.shape, bool)
-    values = np.where(missing, 0.0, column).astype(float).reshape(-1)
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    if column is None:
+        return np.array(missing_text, dtype=object)
+    column = np.asarray(column, dtype=float)
+    bits, inverse = np.unique(column.reshape(-1).view(np.int64), return_inverse=True)
     distinct = np.array(encode(bits.view(float).tolist()), dtype=object)
-    text = distinct[inverse].reshape(column.shape)
-    text[missing] = missing_text
-    return text
+    return distinct[inverse].reshape(column.shape)
 
 
 def _table_text(columns: dict, fmt: str, header: dict) -> str:
     """CSV or JSONL text of a table given column by column.
 
-    Columns are float arrays (``None`` marks a missing value) that broadcast
+    Columns are float arrays, or ``None`` for a missing column, that broadcast
     against each other; the rows run over the broadcast shape in C order, so
     an axis passed as ``q[:, None]`` is encoded once per value, not once per
     row.  CSV writes ``%.17g`` after a line of column names; JSONL writes

@@ -106,18 +106,9 @@ class TheoremReport:
         return {**asdict(self), "passed": self.passed, "state_family": self.state_family}
 
 
-def _occupancy_law(growth: float, n: float) -> float:
-    """ln((growth + 2n) / (1 + 2n)); ``ValueError`` where the ratio overflows in n."""
-    ratio = (growth + 2.0 * n) / (1.0 + 2.0 * n)
-    if not math.isfinite(ratio):
-        raise ValueError(f"n = {n} overflows the threshold law")
-    return math.log(ratio)
-
-
 def threshold_spats(n: float) -> float:
-    """Threshold decay time ln((2+2n)/(1+2n)); ``ValueError`` once 2n overflows (n > ~9e307)."""
-    _check_nonnegative("n", n)
-    return _occupancy_law(2.0, n)
+    """Threshold decay time ln((2+2n)/(1+2n)) = log1p(1/(1+2n)); ``ValueError`` for n > ~9e307."""
+    return threshold_general(math.log(2.0), n)
 
 
 def threshold_general(gamma_tc_loss: float, n: float) -> float:
@@ -128,16 +119,19 @@ def threshold_general(gamma_tc_loss: float, n: float) -> float:
     channel smooths W with variance (2n+1)(e^(gamma_t) - 1)/4 (Lee 1991), so
     the threshold is where that reaches its n = 0 value (e^(gamma_tc_loss) - 1)/4;
     zero-vacuum states have e^(gamma_tc_loss) = 2 (:func:`threshold_spats`).
-    An argument at which e^(gamma_tc_loss) or the ratio overflows raises
-    ``ValueError`` naming it.
+    Computed as log1p(expm1(gamma_tc_loss) / (1 + 2n)), accurate to rounding at
+    any n; ``ValueError`` names an argument at which expm1 or 1 + 2n overflows.
     """
     _check_nonnegative("gamma_tc_loss", gamma_tc_loss)
     _check_nonnegative("n", n)
     try:
-        growth = math.exp(gamma_tc_loss)
+        excess = math.expm1(gamma_tc_loss)
     except OverflowError:
         raise ValueError(f"gamma_tc_loss = {gamma_tc_loss} overflows e^(gamma_tc_loss)") from None
-    return _occupancy_law(growth, n)
+    m = 1.0 + 2.0 * n
+    if not math.isfinite(m):
+        raise ValueError(f"n = {n} overflows the threshold law")
+    return math.log1p(excess / m)
 
 
 def threshold_numeric_spats(n: float, bar_n: float) -> ThresholdReport:
@@ -148,9 +142,11 @@ def threshold_numeric_spats(n: float, bar_n: float) -> ThresholdReport:
     without forming pi xi^3.  As xi >= 1 + 2 bar_n > 0, it is the sign of the
     second factor, which grows with gt and does not involve bar_n: the switch
     is monotone by construction.  The residual is within the half-width for
-    n below 2^52 (about 4.5e15), where 1 + 2n is exact.  One method is
-    enough: the negativity volume is positive exactly while kappa < 0, so
-    bisecting on it would switch at the same decay time and check nothing new.
+    n below 2^52 (about 4.5e15), where 1 + 2n is exact.  The half-width is
+    absolute and gamma_t_c ~ 1/(2n), so the relative error is up to about
+    2n * 1e-10: from n ~ 5e9 no digit is correct.  One method is enough: the
+    negativity volume is positive exactly while kappa < 0, so bisecting on it
+    would switch at the same decay time and check nothing new.
 
     Raises
     ------

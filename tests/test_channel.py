@@ -206,7 +206,9 @@ class TestFokkerPlanckEvolve:
 
         swapped = WignerGrid(-8.0, 8.0, -6.0, 6.0, grid.values.T)
         out_swapped = fokker_planck_evolve(swapped, channel)
-        assert np.array_equal(out_swapped.values, out.values.T)
+        # the same products summed in another order, so equal only to rounding
+        ulp = np.spacing(np.max(np.abs(out.values)))
+        assert np.max(np.abs(out_swapped.values - out.values.T)) <= 32 * ulp
 
     def test_non_finite_input_reports_point_count(self):
         grid = self.make_grid(points=41)

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -53,6 +54,19 @@ def s_parametrized_wigner(weights, n, gamma_t, r):
     return e * 2.0 / (math.pi * (1.0 - s)) * np.exp(-2.0 * x / (1.0 - s)) * total
 
 
+def lee_law_decimal(n, gamma=None):
+    """ln((e^gamma + 2n) / (1 + 2n)) by decimal arithmetic; e^gamma = 2 when gamma is None.
+
+    Carries 50 digits plus those by which gamma and 1/(1 + 2n) lie below 1,
+    so the ratio's excess over 1, about (e^gamma - 1) / (1 + 2n), keeps 50.
+    """
+    with decimal.localcontext() as ctx:
+        g, two_n = decimal.Decimal(0.0 if gamma is None else gamma), 2 * decimal.Decimal(n)
+        ctx.prec = 50 + max(0, -g.adjusted()) + max(0, two_n.adjusted() + 1)
+        growth = decimal.Decimal(2) if gamma is None else g.exp()
+        return float(((growth + two_n) / (1 + two_n)).ln())
+
+
 class TestThresholdSpats:
     def test_loss_channel_is_ln_two(self):
         assert threshold_spats(0.0) == pytest.approx(math.log(2.0), abs=1e-15)
@@ -96,9 +110,20 @@ class TestThresholdGeneral:
             threshold_general(800.0, 0.5)
         with pytest.raises(ValueError, match="n = 1e"):
             threshold_general(0.7, 1e308)
-        # e^709 + 2n overflows although each term is finite
-        with pytest.raises(ValueError, match="n = 8e"):
-            threshold_general(709.0, 8e307)
+        # e^709 + 2n would overflow, but e^709 - 1 and 1 + 2n are finite
+        value = threshold_general(709.0, 8e307)
+        assert value == pytest.approx(lee_law_decimal(8e307, 709.0), rel=1e-15, abs=0.0)
+        assert value == pytest.approx(0.4145, abs=1e-4)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(gamma=st.floats(0.0, 50.0), log10_n=st.floats(-6.0, 15.0))
+    def test_law_matches_decimal_arithmetic(self, gamma, log10_n):
+        # ln of the ratio itself loses digits as the ratio nears 1 at large n
+        n = 10.0**log10_n
+        assert threshold_general(gamma, n) == pytest.approx(
+            lee_law_decimal(n, gamma), rel=1e-15, abs=0.0
+        )
+        assert threshold_spats(n) == pytest.approx(lee_law_decimal(n), rel=1e-15, abs=0.0)
 
 
 class TestThresholdNumeric:
