@@ -112,7 +112,7 @@ def pnw_radial(profile: Callable, r_max: float) -> NegativityResult:
     roots = [brentq(profile, radii[i], radii[i + 1]) for i in crossings]
     edges = [0.0, *roots, r_max]
     # all scan nodes between two roots share a sign class: take each segment's first
-    starts_negative = negative[np.r_[0, crossings + 1]]
+    starts_negative = negative[np.concatenate(([0], crossings + 1))]
     segments = [(a, b) for a, b, neg in zip(edges[:-1], edges[1:], starts_negative) if neg]
     if not segments:
         return NegativityResult(volume=0.0, region_radius=None, method="quadrature")

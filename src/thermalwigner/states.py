@@ -14,7 +14,6 @@ smallest level whose dropped tail mass is below the caller's ``step_tol``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -232,7 +231,10 @@ def evolve_fock_diagonal(
     a = noise / (1.0 + noise)
 
     size = state.weights.size
-    lossy = state.weights @ np.array(list(itertools.islice(_binomial_rows(tau, size), size)))
+    loss = np.empty((size, size))
+    for target, row in zip(loss, _binomial_rows(tau, size)):
+        target[:] = row
+    lossy = state.weights @ loss
     # The amplifier sends level m to level k with probability
     # (1-a) P(Binomial(k, 1-a) = m), and above level k with probability
     # P(Binomial(k+1, 1-a) <= m); summed over m, the latter weighs each

@@ -4,11 +4,20 @@ All evaluators take the quadrature pair (q, p) as numpy arrays (or scalars),
 broadcast over them, and depend on position only through r^2 = q^2 + p^2.
 The Wigner normalization is the displaced-parity convention, W(0,0) = +-2/pi
 for Fock states; no alternative hbar scaling is supported.
+
+The evaluators never write to their inputs.  An array evaluation allocates
+its r^2 array, at most one result array and, for the Fock series, the
+recurrence buffers; every later step writes into one of these, in the order
+of the written formula, so the output is bitwise what the formula evaluated
+term by term gives.  An integer array is promoted to float64 before the
+first in-place step.  Scalars stay scalars: Python floats and 0-d arrays
+take plain scalar arithmetic and give a numpy float64.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -59,12 +68,45 @@ def evolved_coefficients(channel: ChannelParams, bar_n: float) -> EvolvedSpatsCo
     return EvolvedSpatsCoefficients(xi=xi, kappa=kappa)
 
 
+def _r2(q, p):
+    """q^2 + p^2, a new array for array inputs that later steps write into.
+
+    An integer array is cast to float64 here, as the first float operation
+    on it would cast it; a scalar input gives a numpy scalar.
+    """
+    r2 = np.square(q) + np.square(p)
+    if isinstance(r2, np.ndarray) and not np.issubdtype(r2.dtype, np.inexact):
+        r2 = r2.astype(float)
+    return r2
+
+
+def _into(ufunc, *args, out):
+    """``ufunc(*args)``, written into ``out`` when that is an ndarray.
+
+    A scalar evaluation gets a new scalar instead: ``out=`` on a scalar call,
+    even ``out=None``, costs more than the operation itself.  ``ufunc`` may
+    be a plain operator where ``out`` can only be a scalar.
+    """
+    if isinstance(out, np.ndarray):
+        return ufunc(*args, out=out)
+    return ufunc(*args)
+
+
+def _float64(x):
+    """``x`` as float64: an array not copied when it already is one, a scalar as a Python float."""
+    return x.astype(float, copy=False) if isinstance(x, np.ndarray) else float(x)
+
+
 def eval_thermal_wigner(q, p, n_mean: float):
     """Thermal-state Wigner function 2/(pi*(1+2n)) * exp(-2 r^2/(1+2n))."""
     _check_nonnegative("n_mean", n_mean)
-    r2 = np.square(q) + np.square(p)
+    r2 = _r2(q, p)
     m = 1.0 + 2.0 * n_mean
-    return 2.0 / (math.pi * m) * np.exp(-2.0 * r2 / m)
+    r2 *= -2.0
+    r2 /= m
+    w = _into(np.exp, r2, out=r2)
+    w *= 2.0 / (math.pi * m)
+    return w
 
 
 def eval_spats_wigner_initial(q, p, bar_n: float):
@@ -74,10 +116,16 @@ def eval_spats_wigner_initial(q, p, bar_n: float):
     negative on the disk r < sqrt((1+2nbar)/(4+4nbar)).
     """
     _check_nonnegative("bar_n", bar_n)
-    r2 = np.square(q) + np.square(p)
+    r2 = _r2(q, p)
     m = 1.0 + 2.0 * bar_n
-    poly = 4.0 * (1.0 + bar_n) * r2 / m**3 - 1.0 / m**2
-    return (2.0 / math.pi) * poly * np.exp(-2.0 * r2 / m)
+    w = r2 * (4.0 * (1.0 + bar_n))
+    w /= m**3
+    w -= 1.0 / m**2
+    w *= 2.0 / math.pi
+    r2 *= -2.0
+    r2 /= m
+    w *= _into(np.exp, r2, out=r2)
+    return w
 
 
 def eval_spats_wigner_evolved(q, p, channel: ChannelParams, bar_n: float):
@@ -102,9 +150,17 @@ def _spats_evolved_evaluator(channel: ChannelParams, bar_n: float) -> Callable:
         raise OverflowError(f"pi xi^3 overflows at xi = {c.xi}")
 
     def evaluate(q, p):
-        r2 = np.square(q) + np.square(p)
-        # u = 1 at gamma_t = 0 leaves every operation on u exact
-        return u * ((c.kappa + slope * r2) / norm) * np.exp(-2.0 * u * r2 / c.xi)
+        # u * ((kappa + slope r^2) / norm) * exp(-2 u r^2 / xi); u = 1 at
+        # gamma_t = 0 leaves every operation on u exact
+        r2 = _r2(q, p)
+        w = r2 * slope
+        w += c.kappa
+        w /= norm
+        w *= u
+        r2 *= -2.0 * u
+        r2 /= c.xi
+        w *= _into(np.exp, r2, out=r2)
+        return w
 
     return evaluate
 
@@ -115,14 +171,36 @@ def _laguerre_series(x, coefficients: np.ndarray):
     The recurrence runs on the Laguerre functions L_l(x) e^(-x/2), which are
     bounded by 1 for x >= 0, so it cannot overflow where L_l(x) alone would.
     There are at least 2 coefficients: a state's cutoff is at least 1.
+
+    ``x`` is read, never written.  An array ``x`` takes four buffers of its
+    shape: the sum ``acc`` and three that rotate, ``prev`` and ``cur`` (the
+    last two Laguerre functions) and ``nxt`` (the next one).  Once ``prev``
+    is spent it holds the new term ``coefficients[k + 1] * nxt`` for ``acc``,
+    and then it becomes the next ``nxt``.
     """
-    x = np.asarray(x, dtype=float)
-    prev = np.exp(-0.5 * x)
-    cur = (1.0 - x) * prev
-    acc = coefficients[0] * prev + coefficients[1] * cur
+    x = _float64(x)
+    # scalars take the operators: a binary ufunc call on them costs ten times as much
+    if isinstance(x, np.ndarray):
+        subtract, multiply = np.subtract, np.multiply
+    else:
+        subtract, multiply = operator.sub, operator.mul
+    prev = x * -0.5
+    prev = _into(np.exp, prev, out=prev)
+    cur = 1.0 - x
+    cur *= prev
+    acc = prev * coefficients[0]
+    nxt = cur * coefficients[1]
+    acc += nxt
     for k in range(1, coefficients.size - 1):
-        prev, cur = cur, ((2.0 * k + 1.0 - x) * cur - k * prev) / (k + 1.0)
-        acc = acc + coefficients[k + 1] * cur
+        # nxt = ((2k + 1 - x) * cur - k * prev) / (k + 1)
+        nxt = _into(subtract, 2.0 * k + 1.0, x, out=nxt)
+        nxt *= cur
+        prev *= k
+        nxt -= prev
+        nxt /= k + 1.0
+        prev = _into(multiply, nxt, coefficients[k + 1], out=prev)
+        acc += prev
+        prev, cur, nxt = cur, nxt, prev
     return acc
 
 
@@ -137,9 +215,12 @@ def eval_fock_diagonal_wigner(q, p, state: FockDiagonalState):
             f"state cutoff {state.cutoff} exceeds the Laguerre recurrence bound "
             f"{LAGUERRE_MAX_INDEX}"
         )
-    r2 = np.square(q) + np.square(p)
+    x = _r2(q, p)
+    x *= 4.0
     signs = (-1.0) ** np.arange(state.weights.size)
-    return (2.0 / math.pi) * _laguerre_series(4.0 * r2, signs * state.weights)
+    w = _laguerre_series(x, signs * state.weights)
+    w *= 2.0 / math.pi
+    return w
 
 
 def eval_q_function(q, p, state: FockDiagonalState):
@@ -149,14 +230,20 @@ def eval_q_function(q, p, state: FockDiagonalState):
     which is non-negative everywhere and vanishes at the origin exactly when
     the vacuum population is zero.
     """
-    r2 = np.asarray(np.square(q) + np.square(p), dtype=float)
+    r2 = _float64(_r2(q, p))
+    multiply = np.multiply if isinstance(r2, np.ndarray) else operator.mul
     # the Poisson terms e^(-r^2) r^(2l)/l! stay below 1 where r^(2l)/l! overflows
-    term = np.exp(-r2)
-    acc = state.weights[0] * term
+    term = -r2
+    term = _into(np.exp, term, out=term)
+    acc = term * state.weights[0]
+    scaled = None  # allocated by the first term of an array evaluation
     for l in range(1, state.weights.size):
-        term = term * r2 / l
-        acc = acc + state.weights[l] * term
-    return acc / math.pi
+        term *= r2
+        term /= l
+        scaled = _into(multiply, term, state.weights[l], out=scaled)
+        acc += scaled
+    acc /= math.pi
+    return acc
 
 
 def _checked(values, shape: tuple) -> np.ndarray:

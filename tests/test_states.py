@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,8 +16,10 @@ from thermalwigner import (
     random_zero_vacuum_state,
     spats_weights,
     thermal_weights,
+    threshold_spats,
     vacuum_population,
 )
+from thermalwigner.states import DEFAULT_TAIL_TOL, _binomial_rows
 
 
 def birth_death_rhs(p, n):
@@ -25,6 +28,27 @@ def birth_death_rhs(p, n):
     up = np.append(p[1:], 0.0)  # p_{l+1}
     down = np.insert(p[:-1], 0, 0.0)  # p_{l-1}
     return (n + 1.0) * ((l + 1.0) * up - l * p) + n * (l * down - (l + 1.0) * p)
+
+
+def evolve_by_list_of_rows(state, channel, step_tol=1e-10):
+    """The channel map with its loss matrix stacked from a list of rows."""
+    eta = math.exp(-channel.gamma_t)
+    noise = channel.n * -math.expm1(-channel.gamma_t)
+    tau = eta / (1.0 + noise)
+    a = noise / (1.0 + noise)
+    size = state.weights.size
+    lossy = state.weights @ np.array(list(itertools.islice(_binomial_rows(tau, size), size)))
+    lossy_at_or_above = np.cumsum(lossy[::-1])[::-1]
+    rows = _binomial_rows(1.0 - a, size)
+    row = next(rows)
+    out = []
+    while True:
+        out.append((1.0 - a) * (row @ lossy))
+        row = next(rows)
+        if len(out) >= 2 and row @ lossy_at_or_above < step_tol:
+            break
+    tail_tol = max(state.tail_tol + step_tol, DEFAULT_TAIL_TOL)
+    return FockDiagonalState(np.array(out), tail_tol=tail_tol)
 
 
 def padded(weights, size):
@@ -337,6 +361,21 @@ class TestEvolveFockDiagonal:
         size = max(two_legs.weights.size, evolved.weights.size)
         l1 = np.sum(np.abs(padded(two_legs.weights, size) - padded(evolved.weights, size)))
         assert l1 < 3.0 * step_tol
+
+    @pytest.mark.parametrize("state_name", ["one-photon", "random-12", "spats-10"])
+    @pytest.mark.parametrize("n", [0.0, 0.5])
+    @pytest.mark.parametrize("at_threshold", [False, True])
+    def test_loss_matrix_filled_in_place_matches_list_of_rows(self, state_name, n, at_threshold):
+        state = {
+            "one-photon": FockDiagonalState([0.0, 1.0]),
+            "random-12": random_zero_vacuum_state(5, 12),
+            "spats-10": spats_weights(10.0),
+        }[state_name]
+        channel = ChannelParams(n, threshold_spats(n) if at_threshold else 0.1)
+        evolved = evolve_fock_diagonal(state, channel)
+        reference = evolve_by_list_of_rows(state, channel)
+        assert evolved.weights.tobytes() == reference.weights.tobytes()
+        assert evolved.tail_tol == reference.tail_tol
 
     def test_loosely_truncated_input_state_evolves(self):
         # initial mass deficit from a coarse tail_tol must not be mistaken

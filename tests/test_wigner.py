@@ -24,6 +24,7 @@ from thermalwigner import (
     thermal_weights,
     threshold_spats,
 )
+from thermalwigner.wigner import _laguerre_series
 
 RNG = np.random.default_rng(2024)
 RANDOM_POINTS = RNG.uniform(-4.0, 4.0, size=(100, 2))
@@ -347,6 +348,161 @@ def test_rotational_symmetry_is_exact(evaluator):
         reference = evaluator(q, p)
         assert evaluator(p, q) == reference
         assert evaluator(-q, -p) == reference
+
+
+# The evaluators before they computed in place, one expression each: the
+# in-place forms must give the same bits, dtype and scalar-or-array type.
+def formula_thermal(q, p, n_mean):
+    r2 = np.square(q) + np.square(p)
+    m = 1.0 + 2.0 * n_mean
+    return 2.0 / (math.pi * m) * np.exp(-2.0 * r2 / m)
+
+
+def formula_initial(q, p, bar_n):
+    r2 = np.square(q) + np.square(p)
+    m = 1.0 + 2.0 * bar_n
+    poly = 4.0 * (1.0 + bar_n) * r2 / m**3 - 1.0 / m**2
+    return (2.0 / math.pi) * poly * np.exp(-2.0 * r2 / m)
+
+
+def formula_evolved(q, p, channel, bar_n):
+    c = evolved_coefficients(channel, bar_n)
+    u = math.exp(channel.gamma_t)
+    slope = 8.0 * (1.0 + bar_n) * u
+    norm = math.pi * c.xi**3
+    r2 = np.square(q) + np.square(p)
+    return u * ((c.kappa + slope * r2) / norm) * np.exp(-2.0 * u * r2 / c.xi)
+
+
+def formula_laguerre_series(x, coefficients):
+    x = np.asarray(x, dtype=float)
+    prev = np.exp(-0.5 * x)
+    cur = (1.0 - x) * prev
+    acc = coefficients[0] * prev + coefficients[1] * cur
+    for k in range(1, coefficients.size - 1):
+        prev, cur = cur, ((2.0 * k + 1.0 - x) * cur - k * prev) / (k + 1.0)
+        acc = acc + coefficients[k + 1] * cur
+    return acc
+
+
+def formula_fock_diagonal(q, p, state):
+    r2 = np.square(q) + np.square(p)
+    signs = (-1.0) ** np.arange(state.weights.size)
+    return (2.0 / math.pi) * formula_laguerre_series(4.0 * r2, signs * state.weights)
+
+
+def formula_q(q, p, state):
+    r2 = np.asarray(np.square(q) + np.square(p), dtype=float)
+    term = np.exp(-r2)
+    acc = state.weights[0] * term
+    for l in range(1, state.weights.size):
+        term = term * r2 / l
+        acc = acc + state.weights[l] * term
+    return acc / math.pi
+
+
+def assert_same_bits(new, old):
+    assert type(new) is type(old)
+    new, old = np.asarray(new), np.asarray(old)
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert np.array_equal(new, old) and new.tobytes() == old.tobytes()
+
+
+LAYOUTS = ("column-row", "row-column", "planes", "array-float", "floats", "0-d")
+
+
+def points(layout, seed, extent):
+    """A (q, p) pair in one of the ways callers pass them."""
+    rng = np.random.default_rng(seed)
+    q, p = rng.uniform(-extent, extent, size=(2, 7))
+    if layout == "column-row":
+        return q[:, None], p[None, :5]
+    if layout == "row-column":
+        return q[None, :], p[:5, None]
+    if layout == "planes":
+        return tuple(np.meshgrid(q, p, indexing="ij"))
+    if layout == "array-float":
+        return q, float(p[0])
+    if layout == "floats":
+        return float(q[0]), float(p[0])
+    return np.array(q[0]), np.array(p[0])
+
+
+def random_fock_state(seed, cutoff):
+    weights = np.random.default_rng(seed).random(cutoff + 1)
+    return FockDiagonalState(weights / weights.sum())
+
+
+class TestInPlaceEvaluation:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        layout=st.sampled_from(LAYOUTS),
+        seed=st.integers(0, 2**32 - 1),
+        extent=st.floats(0.1, 12.0),
+        bar_n=st.floats(0.0, 3.0),
+        n=st.floats(0.0, 2.0),
+        gamma_t=st.floats(0.0, 1.5),
+    )
+    def test_closed_forms_match_their_formulas_bitwise(
+        self, layout, seed, extent, bar_n, n, gamma_t
+    ):
+        q, p = points(layout, seed, extent)
+        assert_same_bits(eval_thermal_wigner(q, p, n), formula_thermal(q, p, n))
+        assert_same_bits(eval_spats_wigner_initial(q, p, bar_n), formula_initial(q, p, bar_n))
+        channel = ChannelParams(n, gamma_t)
+        assert_same_bits(
+            eval_spats_wigner_evolved(q, p, channel, bar_n),
+            formula_evolved(q, p, channel, bar_n),
+        )
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        layout=st.sampled_from(LAYOUTS),
+        seed=st.integers(0, 2**32 - 1),
+        extent=st.floats(0.1, 12.0),
+        cutoff=st.integers(1, 60),
+    )
+    def test_fock_series_match_their_formulas_bitwise(self, layout, seed, extent, cutoff):
+        q, p = points(layout, seed, extent)
+        state = random_fock_state(seed, cutoff)
+        assert_same_bits(eval_fock_diagonal_wigner(q, p, state), formula_fock_diagonal(q, p, state))
+        assert_same_bits(eval_q_function(q, p, state), formula_q(q, p, state))
+        x = 4.0 * (np.square(q) + np.square(p))
+        if layout in ("floats", "0-d"):
+            x = float(x) if layout == "floats" else np.array(x)
+        signed = state.weights * (-1.0) ** np.arange(cutoff + 1)
+        assert_same_bits(_laguerre_series(x, signed), formula_laguerre_series(x, signed))
+
+    @pytest.mark.parametrize("layout", ["column-row", "planes", "array-float"])
+    @pytest.mark.parametrize("evaluator", EVALUATORS)
+    def test_inputs_are_not_written(self, evaluator, layout):
+        q, p = points(layout, 7, 4.0)
+        q, p = np.array(q), np.array(p)
+        before = q.copy(), p.copy()
+        for a in (q, p):
+            a.setflags(write=False)  # a write would raise
+        evaluator(q, p)
+        assert np.array_equal(q, before[0]) and np.array_equal(p, before[1])
+
+    def test_laguerre_series_does_not_write_its_argument(self):
+        x = np.linspace(0.0, 40.0, 9)
+        x.setflags(write=False)
+        _laguerre_series(x, spats_weights(1.0).weights)
+        assert np.array_equal(x, np.linspace(0.0, 40.0, 9))
+
+    @pytest.mark.parametrize("evaluator", EVALUATORS)
+    def test_python_floats_give_a_numpy_float(self, evaluator):
+        assert type(evaluator(0.3, -1.2)) is np.float64
+        assert type(evaluator(np.array(0.3), np.array(-1.2))) is np.float64
+
+    @pytest.mark.parametrize("layout", ["column-row", "planes"])
+    @pytest.mark.parametrize("evaluator", EVALUATORS)
+    def test_integer_arrays_give_float64(self, evaluator, layout):
+        q, p = points(layout, 11, 4.0)
+        q, p = np.round(q).astype(np.int64), np.round(p).astype(np.int64)
+        values = evaluator(q, p)
+        assert values.dtype == np.float64
+        assert_same_bits(values, evaluator(q.astype(float), p.astype(float)))
 
 
 class TestWignerGrid:
